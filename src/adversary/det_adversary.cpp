@@ -1,5 +1,6 @@
 #include "adversary/det_adversary.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -76,12 +77,17 @@ void DetAdversary::enqueue_departures(const core::MachineState& state) {
     }
   }
 
+  // active_tasks() comes in unspecified order; emit the departures by
+  // ascending id so the sequence does not depend on the task index.
+  std::vector<core::TaskId> leaving;
   for (const core::ActiveTask& at : tasks) {
     const std::uint32_t dv = topo_.depth(at.node);
     const tree::NodeId child = at.node >> (dv - child_depth);
-    if (departs[child - first_child]) {
-      pending_.push_back(core::Event::departure(at.task.id));
-    }
+    if (departs[child - first_child]) leaving.push_back(at.task.id);
+  }
+  std::sort(leaving.begin(), leaving.end());
+  for (const core::TaskId id : leaving) {
+    pending_.push_back(core::Event::departure(id));
   }
 }
 

@@ -22,11 +22,11 @@ tree::NodeId BasicAllocator::place(const Task& task,
 
 void BasicAllocator::on_departure(TaskId id, const MachineState& state) {
   (void)state;
-  const auto it = placements_.find(id);
-  PARTREE_ASSERT(it != placements_.end(),
+  const tree::CopyPlacement* cp = placements_.find(id);
+  PARTREE_ASSERT(cp != nullptr,
                  "departure of task unknown to BasicAllocator");
-  copies_.remove(it->second);
-  placements_.erase(it);
+  copies_.remove(*cp);
+  placements_.erase(id);
 }
 
 bool BasicAllocator::debug_corrupt_state() {

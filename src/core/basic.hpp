@@ -5,10 +5,9 @@
 // arrival size S, the load never exceeds ceil(S/N).
 #pragma once
 
-#include <unordered_map>
-
 #include "core/allocator.hpp"
 #include "tree/copy_set.hpp"
+#include "util/task_map.hpp"
 
 namespace partree::core {
 
@@ -39,7 +38,7 @@ class BasicAllocator : public Allocator {
  private:
   tree::CopyFit fit_;
   tree::CopySet copies_;
-  std::unordered_map<TaskId, tree::CopyPlacement> placements_;
+  util::TaskMap<tree::CopyPlacement> placements_;
 };
 
 }  // namespace partree::core

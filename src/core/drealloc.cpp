@@ -39,11 +39,11 @@ void DReallocAllocator::on_departure(TaskId id, const MachineState& state) {
     greedy_->on_departure(id, state);
     return;
   }
-  const auto it = placements_.find(id);
-  PARTREE_ASSERT(it != placements_.end(),
+  const tree::CopyPlacement* cp = placements_.find(id);
+  PARTREE_ASSERT(cp != nullptr,
                  "departure of task unknown to DReallocAllocator");
-  copies_.remove(it->second);
-  placements_.erase(it);
+  copies_.remove(*cp);
+  placements_.erase(id);
 }
 
 bool DReallocAllocator::debug_corrupt_state() {
@@ -60,19 +60,7 @@ std::string DReallocAllocator::debug_check_state() const {
   // replay in release), so the debug net audits what the replay used to
   // assert: every tracked placement is really occupied in the copy set
   // and the tracked sizes account for every occupied PE.
-  std::uint64_t tracked = 0;
-  for (const auto& [id, cp] : placements_) {
-    if (!copies_.occupied(cp)) {
-      return "placement for task " + std::to_string(id) +
-             " is not occupied in the copy set";
-    }
-    tracked += topo_.subtree_size(cp.node);
-  }
-  if (tracked != copies_.used()) {
-    return "tracked placement sizes " + std::to_string(tracked) +
-           " != copy set used " + std::to_string(copies_.used());
-  }
-  return {};
+  return check_placements(placements_, copies_);
 }
 
 std::optional<std::vector<Migration>> DReallocAllocator::maybe_reallocate(

@@ -7,12 +7,11 @@
 // min{d + 1, ceil((log N + 1)/2)} * L*. d = 0 degenerates to A_C.
 #pragma once
 
-#include <unordered_map>
-
 #include "core/allocator.hpp"
 #include "core/greedy.hpp"
 #include "core/packing.hpp"
 #include "tree/copy_set.hpp"
+#include "util/task_map.hpp"
 
 namespace partree::core {
 
@@ -60,7 +59,7 @@ class DReallocAllocator : public Allocator {
   std::optional<GreedyAllocator> greedy_;  // engaged in the greedy regime
   tree::CopySet copies_;
   PackScratch scratch_;  // repack buffers, recycled across rounds
-  std::unordered_map<TaskId, tree::CopyPlacement> placements_;
+  util::TaskMap<tree::CopyPlacement> placements_;
   std::uint64_t arrived_since_realloc_ = 0;
   bool realloc_pending_ = false;
   std::uint64_t reallocations_ = 0;

@@ -28,45 +28,48 @@ void MachineState::place(const Task& task, tree::NodeId node) {
 }
 
 tree::NodeId MachineState::remove(TaskId id) {
-  const auto it = active_.find(id);
-  PARTREE_ASSERT(it != active_.end(), "removing task that is not active");
-  const tree::NodeId node = it->second.node;
+  const ActiveTask* at = active_.find(id);
+  PARTREE_ASSERT(at != nullptr, "removing task that is not active");
+  const tree::NodeId node = at->node;
   loads_.release(node);
-  active_.erase(it);
+  active_.erase(id);
   obs::bump(obs::Counter::kTasksRemoved);
   return node;
 }
 
-void MachineState::migrate(std::span<const Migration> migrations) {
-  std::uint64_t moved = 0;
+AppliedMigrations MachineState::migrate(
+    std::span<const Migration> migrations) {
+  AppliedMigrations applied;
   for (const Migration& m : migrations) {
-    const auto it = active_.find(m.id);
-    PARTREE_ASSERT(it != active_.end(), "migrating task that is not active");
-    PARTREE_ASSERT(it->second.node == m.from,
+    ActiveTask* at = active_.find(m.id);
+    PARTREE_ASSERT(at != nullptr, "migrating task that is not active");
+    PARTREE_ASSERT(at->node == m.from,
                    "migration 'from' does not match current placement");
     PARTREE_ASSERT(topo_.valid(m.to), "migration target out of range");
-    PARTREE_ASSERT(topo_.subtree_size(m.to) == it->second.task.size,
+    PARTREE_ASSERT(topo_.subtree_size(m.to) == at->task.size,
                    "migration target size mismatch");
     if (m.from == m.to) continue;
     loads_.release(m.from);
     loads_.assign(m.to);
-    it->second.node = m.to;
-    ++moved;
+    at->node = m.to;
+    ++applied.moved;
+    applied.moved_size += at->task.size;
     obs::bump(obs::Counter::kMigrationsApplied);
   }
-  obs::emit_instant(obs::Instant::kMigrationBatch, moved);
+  obs::emit_instant(obs::Instant::kMigrationBatch, applied.moved);
+  return applied;
 }
 
 const ActiveTask& MachineState::active_task(TaskId id) const {
-  const auto it = active_.find(id);
-  PARTREE_ASSERT(it != active_.end(), "lookup of inactive task");
-  return it->second;
+  const ActiveTask* at = active_.find(id);
+  PARTREE_ASSERT(at != nullptr, "lookup of inactive task");
+  return *at;
 }
 
 std::vector<ActiveTask> MachineState::active_tasks() const {
   std::vector<ActiveTask> tasks;
   tasks.reserve(active_.size());
-  for (const auto& [id, at] : active_) tasks.push_back(at);
+  for_each_active([&tasks](const ActiveTask& at) { tasks.push_back(at); });
   return tasks;
 }
 
@@ -78,10 +81,10 @@ std::uint64_t MachineState::optimal_load() const noexcept {
 
 std::uint64_t MachineState::digest() const {
   std::uint64_t task_set = 0;
-  for (const auto& [id, at] : active_) {
+  active_.for_each([&task_set](TaskId id, const ActiveTask& at) {
     task_set = util::commutative_add(
         task_set, util::element_digest(id, at.task.size, at.node));
-  }
+  });
   util::Fnv fnv;
   fnv.mix(topo_.n_leaves());
   fnv.mix(active_.size());
@@ -94,7 +97,11 @@ std::uint64_t MachineState::digest() const {
 
 bool MachineState::debug_corrupt_drop_active() {
   if (active_.empty()) return false;
-  active_.erase(active_.begin());  // load deliberately left assigned
+  TaskId victim = kInvalidTask;
+  active_.for_each([&victim](TaskId id, const ActiveTask&) {
+    if (victim == kInvalidTask) victim = id;
+  });
+  active_.erase(victim);  // load deliberately left assigned
   return true;
 }
 

@@ -9,12 +9,12 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/task.hpp"
 #include "tree/load_tree.hpp"
 #include "tree/topology.hpp"
+#include "util/task_map.hpp"
 
 namespace partree::core {
 
@@ -31,6 +31,13 @@ struct Migration {
 struct ActiveTask {
   Task task;
   tree::NodeId node = tree::kInvalidNode;
+};
+
+/// What MachineState::migrate applied: the physical moves (from != to)
+/// and their total size in PEs.
+struct AppliedMigrations {
+  std::uint64_t moved = 0;
+  std::uint64_t moved_size = 0;
 };
 
 class MachineState {
@@ -53,17 +60,18 @@ class MachineState {
 
   /// Applies a reallocation: every migration must name an active task and
   /// a correctly-sized destination. Self-moves (from == to) are permitted
-  /// and counted by the caller, not here. Takes a span so planners can
-  /// hand over any contiguous migration buffer without copying into a
-  /// vector first.
-  void migrate(std::span<const Migration> migrations);
-  void migrate(std::initializer_list<Migration> migrations) {
-    migrate(std::span<const Migration>(migrations.begin(),
-                                       migrations.size()));
+  /// and validated, but left out of the result. Takes a span so planners
+  /// can hand over any contiguous migration buffer without copying into a
+  /// vector first. Returns the physical moves it applied, so callers need
+  /// no second lookup per migration to account for them.
+  AppliedMigrations migrate(std::span<const Migration> migrations);
+  AppliedMigrations migrate(std::initializer_list<Migration> migrations) {
+    return migrate(std::span<const Migration>(migrations.begin(),
+                                              migrations.size()));
   }
 
   [[nodiscard]] bool is_active(TaskId id) const {
-    return active_.find(id) != active_.end();
+    return active_.find(id) != nullptr;
   }
   [[nodiscard]] const ActiveTask& active_task(TaskId id) const;
   [[nodiscard]] std::size_t active_count() const noexcept {
@@ -78,7 +86,7 @@ class MachineState {
   /// reallocation round, so the O(active) allocation matters there.
   template <typename Fn>
   void for_each_active(Fn&& fn) const {
-    for (const auto& [id, at] : active_) fn(at);
+    active_.for_each([&fn](TaskId, const ActiveTask& at) { fn(at); });
   }
 
   /// Current maximum PE load (the paper's L_A(sigma; tau)). O(1).
@@ -133,7 +141,7 @@ class MachineState {
  private:
   tree::Topology topo_;
   tree::LoadTree loads_;
-  std::unordered_map<TaskId, ActiveTask> active_;
+  util::TaskMap<ActiveTask> active_;
   std::uint64_t peak_active_size_ = 0;
 };
 

@@ -6,7 +6,7 @@
 namespace partree::core {
 
 OptimalReallocAllocator::OptimalReallocAllocator(tree::Topology topo)
-    : topo_(topo), copies_(topo) {}
+    : copies_(topo) {}
 
 tree::NodeId OptimalReallocAllocator::place(const Task& task,
                                             const MachineState& state) {
@@ -23,11 +23,11 @@ tree::NodeId OptimalReallocAllocator::place(const Task& task,
 void OptimalReallocAllocator::on_departure(TaskId id,
                                            const MachineState& state) {
   (void)state;
-  const auto it = placements_.find(id);
-  PARTREE_ASSERT(it != placements_.end(),
+  const tree::CopyPlacement* cp = placements_.find(id);
+  PARTREE_ASSERT(cp != nullptr,
                  "departure of task unknown to OptimalReallocAllocator");
-  copies_.remove(it->second);
-  placements_.erase(it);
+  copies_.remove(*cp);
+  placements_.erase(id);
 }
 
 std::optional<std::vector<Migration>> OptimalReallocAllocator::maybe_reallocate(
@@ -48,19 +48,7 @@ std::optional<std::vector<Migration>> OptimalReallocAllocator::maybe_reallocate(
 std::string OptimalReallocAllocator::debug_check_state() const {
   const std::string err = copies_.check();
   if (!err.empty()) return "copy_set: " + err;
-  std::uint64_t tracked = 0;
-  for (const auto& [id, cp] : placements_) {
-    if (!copies_.occupied(cp)) {
-      return "placement for task " + std::to_string(id) +
-             " is not occupied in the copy set";
-    }
-    tracked += topo_.subtree_size(cp.node);
-  }
-  if (tracked != copies_.used()) {
-    return "tracked placement sizes " + std::to_string(tracked) +
-           " != copy set used " + std::to_string(copies_.used());
-  }
-  return {};
+  return check_placements(placements_, copies_);
 }
 
 void OptimalReallocAllocator::reset() {

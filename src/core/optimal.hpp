@@ -5,11 +5,10 @@
 // equals the optimal load ceil(S(sigma; tau)/N) <= L*.
 #pragma once
 
-#include <unordered_map>
-
 #include "core/allocator.hpp"
 #include "core/packing.hpp"
 #include "tree/copy_set.hpp"
+#include "util/task_map.hpp"
 
 namespace partree::core {
 
@@ -27,10 +26,9 @@ class OptimalReallocAllocator : public Allocator {
   [[nodiscard]] std::string debug_check_state() const override;
 
  private:
-  tree::Topology topo_;
   tree::CopySet copies_;
   PackScratch scratch_;  // repack buffers, recycled across rounds
-  std::unordered_map<TaskId, tree::CopyPlacement> placements_;
+  util::TaskMap<tree::CopyPlacement> placements_;
 };
 
 }  // namespace partree::core

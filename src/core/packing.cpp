@@ -51,6 +51,25 @@ void place_buckets(tree::CopySet& copies, PackScratch& scratch,
 
 }  // namespace
 
+std::string check_placements(
+    const util::TaskMap<tree::CopyPlacement>& placements,
+    const tree::CopySet& copies) {
+  std::string err;
+  std::uint64_t tracked = 0;
+  placements.for_each([&](TaskId id, const tree::CopyPlacement& cp) {
+    if (err.empty() && !copies.occupied(cp)) {
+      err = "placement for task " + std::to_string(id) +
+            " is not occupied in the copy set";
+    }
+    tracked += copies.topology().subtree_size(cp.node);
+  });
+  if (err.empty() && tracked != copies.used()) {
+    err = "tracked placement sizes " + std::to_string(tracked) +
+          " != copy set used " + std::to_string(copies.used());
+  }
+  return err;
+}
+
 std::uint64_t repack_into(const MachineState& state, tree::CopySet& copies,
                           PackScratch& scratch) {
   const tree::Topology& topo = state.topology();

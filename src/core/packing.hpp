@@ -18,10 +18,12 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/machine_state.hpp"
 #include "tree/copy_set.hpp"
+#include "util/task_map.hpp"
 
 namespace partree::core {
 
@@ -70,6 +72,14 @@ struct PackScratch {
 /// (Lemma 1: ceil(S/N)).
 std::uint64_t repack_into(const MachineState& state, tree::CopySet& copies,
                           PackScratch& scratch);
+
+/// Debug audit for allocators that pack straight into their own CopySet
+/// and track each task's placement: every tracked placement is occupied
+/// in `copies`, and the tracked sizes add up to every occupied PE.
+/// Returns "" when consistent, else what is wrong. O(tracked tasks).
+[[nodiscard]] std::string check_placements(
+    const util::TaskMap<tree::CopyPlacement>& placements,
+    const tree::CopySet& copies);
 
 /// Packs `tasks` (any order) into fresh copies of the machine per A_R:
 /// decreasing size, ties broken by ascending id for determinism; each task

@@ -98,6 +98,11 @@ std::string TaskSequence::validate(std::uint64_t n_pes) const {
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const Event& e = events_[i];
     if (e.kind == EventKind::kArrival) {
+      if (e.task.id == kInvalidTask) {
+        return "event " + std::to_string(i) +
+               ": arrival uses the reserved invalid task id " +
+               std::to_string(e.task.id);
+      }
       if (!valid_task_size(e.task.size, n_pes)) {
         return "event " + std::to_string(i) + ": task " +
                std::to_string(e.task.id) + " has invalid size " +

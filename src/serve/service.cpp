@@ -263,20 +263,14 @@ void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
       }
       ++delta.reallocation_count;
       obs::emit_instant(obs::Instant::kReallocRound, migrations->size());
-      std::uint64_t batch_moves = 0;
-      for (const core::Migration& m : *migrations) {
-        if (m.from != m.to) {
-          ++batch_moves;
-          delta.migrated_size += state_.active_task(m.id).task.size;
-        }
-      }
+      const core::AppliedMigrations applied = state_.migrate(*migrations);
       delta.migration_planned_count += migrations->size();
-      delta.migration_count += batch_moves;
+      delta.migration_count += applied.moved;
+      delta.migrated_size += applied.moved_size;
       obs::record_value(obs::ValueMetric::kMigrationsPlanned,
                         migrations->size());
-      obs::record_value(obs::ValueMetric::kMigrationsApplied, batch_moves);
-      obs::record_value(obs::ValueMetric::kMigrationBatchSize, batch_moves);
-      state_.migrate(*migrations);
+      obs::record_value(obs::ValueMetric::kMigrationsApplied, applied.moved);
+      obs::record_value(obs::ValueMetric::kMigrationBatchSize, applied.moved);
       if (plan_t0 != 0) {
         // Same bracket as the engine: plan start through the last
         // applied move, so plan and round histograms pair one-to-one

@@ -218,22 +218,16 @@ SimResult Engine::run_interactive(core::EventSource& source,
           obs::bump(obs::Counter::kReallocRounds);
           obs::emit_instant(obs::Instant::kReallocRound, migrations->size());
           if (options_.on_reallocation) options_.on_reallocation(*migrations);
-          std::uint64_t batch_moves = 0;
-          for (const core::Migration& m : *migrations) {
-            if (m.from != m.to) {
-              ++batch_moves;
-              result.migrated_size += state.active_task(m.id).task.size;
-            }
-          }
+          const core::AppliedMigrations applied = state.migrate(*migrations);
           result.migration_planned_count += migrations->size();
-          result.migration_count += batch_moves;
+          result.migration_count += applied.moved;
+          result.migrated_size += applied.moved_size;
           obs::record_value(obs::ValueMetric::kMigrationsPlanned,
                             migrations->size());
           obs::record_value(obs::ValueMetric::kMigrationsApplied,
-                            batch_moves);
+                            applied.moved);
           obs::record_value(obs::ValueMetric::kMigrationBatchSize,
-                            batch_moves);
-          state.migrate(*migrations);
+                            applied.moved);
           if (realloc_t0 != 0) {
             obs::record_duration(obs::DurationMetric::kReallocRoundNs,
                                  obs::detail::monotonic_ns() - realloc_t0);

@@ -125,6 +125,34 @@ TEST(DetAdversaryTest, PhaseEndsPartitionTheSequence) {
   }
 }
 
+TEST(DetAdversaryTest, EachPhaseDepartsInAscendingIdOrder) {
+  // The departures of a phase must not follow the iteration order of the
+  // machine's task index, which is unspecified.
+  const tree::Topology topo(256);
+  DetAdversary adversary(topo, topo.height());
+  auto alloc = core::make_allocator("greedy", topo);
+  core::TaskSequence recorded;
+  sim::Engine engine(topo);
+  (void)engine.run_interactive(adversary, *alloc, &recorded);
+
+  const auto& ends = adversary.phase_ends();
+  std::size_t departures = 0;
+  for (std::size_t p = 1; p < ends.size(); ++p) {
+    bool seen = false;
+    core::TaskId last = 0;
+    for (std::size_t i = ends[p - 1]; i < ends[p]; ++i) {
+      if (recorded[i].kind != core::EventKind::kDeparture) continue;
+      if (seen) {
+        EXPECT_LT(last, recorded[i].task.id) << "phase " << p;
+      }
+      seen = true;
+      last = recorded[i].task.id;
+      ++departures;
+    }
+  }
+  EXPECT_GT(departures, 0u);
+}
+
 TEST(DetAdversaryTest, ZeroPhasesJustFillsMachine) {
   const tree::Topology topo(8);
   DetAdversary adversary(topo, 0);

@@ -42,9 +42,25 @@ TEST(MachineStateTest, MigrationMovesLoad) {
 TEST(MachineStateTest, SelfMigrationIsNoop) {
   MachineState m{tree::Topology(8)};
   m.place({0, 2}, 4);
-  m.migrate({{0, 4, 4}});
+  const AppliedMigrations applied = m.migrate({{0, 4, 4}});
+  EXPECT_EQ(applied.moved, 0u);
+  EXPECT_EQ(applied.moved_size, 0u);
   EXPECT_EQ(m.active_task(0).node, 4u);
   EXPECT_EQ(m.max_load(), 1u);
+}
+
+TEST(MachineStateTest, MigrateReturnsPhysicalMovesAndTheirSize) {
+  MachineState m{tree::Topology(8)};
+  m.place({0, 4}, 2);
+  m.place({1, 2}, 6);
+  m.place({2, 1}, 8);
+  // Task 0 stays put; 1 and 2 move. Only the moves count.
+  const AppliedMigrations applied =
+      m.migrate({{0, 2, 2}, {1, 6, 7}, {2, 8, 9}});
+  EXPECT_EQ(applied.moved, 2u);
+  EXPECT_EQ(applied.moved_size, 3u);
+  EXPECT_EQ(m.active_task(1).node, 7u);
+  EXPECT_EQ(m.active_task(2).node, 9u);
 }
 
 TEST(MachineStateTest, ActiveTasksSnapshot) {

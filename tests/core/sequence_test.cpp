@@ -92,6 +92,14 @@ TEST(SequenceTest, ValidateRejectsDuplicateArrival) {
   EXPECT_NE(seq.validate(8), "");
 }
 
+TEST(SequenceTest, ValidateRejectsTheInvalidTaskId) {
+  // kInvalidTask is the empty-slot sentinel of the engine's task index; a
+  // trace naming it must fail validation, not abort in MachineState::place.
+  TaskSequence seq;
+  seq.arrive_as(kInvalidTask, 1);
+  EXPECT_NE(seq.validate(8), "");
+}
+
 TEST(SequenceTest, ArriveAsAdvancesIds) {
   TaskSequence seq;
   seq.arrive_as(10, 1);

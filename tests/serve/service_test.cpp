@@ -100,33 +100,39 @@ TEST(ServeBasicTest, InvalidArrivalSizeThrowsWithoutAdmission) {
 }
 
 TEST(ServeBasicTest, UnknownDepartureFailsOnlyThatFuture) {
-  const tree::Topology topo(4);
-  PartitionService service(topo, make("greedy", topo));
-  auto a = service.submit_arrival(1);
-  auto bogus = service.submit_departure(12345);
-  auto b = service.submit_arrival(2);
+  // kInvalidTask is the empty-slot sentinel of the task index: it must be
+  // answered like any other unknown id, not matched to an empty slot.
+  for (const core::TaskId bogus_id :
+       {core::TaskId{12345}, core::kInvalidTask}) {
+    SCOPED_TRACE(bogus_id);
+    const tree::Topology topo(4);
+    PartitionService service(topo, make("greedy", topo));
+    auto a = service.submit_arrival(1);
+    auto bogus = service.submit_departure(bogus_id);
+    auto b = service.submit_arrival(2);
 
-  (void)a.placed.get();
-  const Placement failed = bogus.get();
-  EXPECT_FALSE(failed.ok);
-  EXPECT_EQ(failed.error, ServiceErrorCode::kBadRequest);
-  EXPECT_EQ(failed.id, 12345u);
-  try {
-    failed.throw_if_failed();
-    FAIL() << "throw_if_failed should rethrow the in-band failure";
-  } catch (const ServiceError& e) {
-    EXPECT_EQ(e.code(), ServiceErrorCode::kBadRequest);
+    (void)a.placed.get();
+    const Placement failed = bogus.get();
+    EXPECT_FALSE(failed.ok);
+    EXPECT_EQ(failed.error, ServiceErrorCode::kBadRequest);
+    EXPECT_EQ(failed.id, bogus_id);
+    try {
+      failed.throw_if_failed();
+      FAIL() << "throw_if_failed should rethrow the in-band failure";
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code(), ServiceErrorCode::kBadRequest);
+    }
+    EXPECT_TRUE(b.placed.get().ok);  // the neighbour is unaffected
+
+    service.stop();
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.applied, 2u);
+    EXPECT_EQ(stats.failed, 1u);
+    // The failed departure is NOT recorded, so the sequence still replays.
+    EXPECT_EQ(service.recorded().events().size(), 2u);
+    EXPECT_EQ(service.stats().final_digest,
+              replay(topo, "greedy", service.recorded()).final_digest);
   }
-  EXPECT_TRUE(b.placed.get().ok);  // the neighbour is unaffected
-
-  service.stop();
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.applied, 2u);
-  EXPECT_EQ(stats.failed, 1u);
-  // The failed departure is NOT recorded, so the sequence still replays.
-  EXPECT_EQ(service.recorded().events().size(), 2u);
-  EXPECT_EQ(service.stats().final_digest,
-            replay(topo, "greedy", service.recorded()).final_digest);
 }
 
 TEST(ServeBasicTest, DoubleDepartureSecondFails) {

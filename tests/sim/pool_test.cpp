@@ -120,22 +120,31 @@ TEST(WorkerPoolTest, BackToBackRegionsReuseWorkers) {
 TEST(WorkerPoolTest, FirstErrorIsRethrownAndCancelsQueuedWork) {
   constexpr std::size_t kN = 50000;
   WorkerPool pool;
-  std::atomic<std::size_t> executed{0};
-  try {
-    pool.run(
-        kN,
-        [&](std::size_t, std::size_t) {
-          if (executed.fetch_add(1) == 10) {
-            throw std::runtime_error("pool boom");
-          }
-        },
-        4);
-    FAIL() << "expected the worker exception to be rethrown at the join";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "pool boom");
-  }
-  // Queued items were skipped: nowhere near the full region ran.
-  EXPECT_LT(executed.load(), kN / 2);
+  const auto run_until_boom = [&pool](std::size_t n_threads) {
+    std::atomic<std::size_t> executed{0};
+    try {
+      pool.run(
+          kN,
+          [&](std::size_t, std::size_t) {
+            if (executed.fetch_add(1) == 10) {
+              throw std::runtime_error("pool boom");
+            }
+          },
+          n_threads);
+      ADD_FAILURE() << "expected the worker exception to be rethrown at the "
+                       "join (" << n_threads << " workers)";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "pool boom");
+    }
+    return executed.load();
+  };
+
+  // One worker runs the items in index order, so the skip is exact: the
+  // eleventh item throws and no queued item after it runs. With several
+  // workers, how many items the others finish before the cancel latches
+  // depends on the scheduler, so only the rethrow is checked there.
+  EXPECT_EQ(run_until_boom(1), 11u);
+  (void)run_until_boom(4);
 
   // The pool survives a cancelled region and runs the next one fully.
   std::atomic<std::size_t> after{0};
