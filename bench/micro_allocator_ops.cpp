@@ -98,23 +98,34 @@ void BM_VacancyChurn(benchmark::State& state) {
   }
 }
 
+// Steady state: the held size stays near kOccupancy * N (place below the
+// target, remove above it), so ns/op measures one place/remove at machine
+// size N rather than a held set that grows with the iteration count.
 void BM_CopySetChurn(benchmark::State& state) {
+  constexpr double kOccupancy = 0.75;
   const tree::Topology topo(static_cast<std::uint64_t>(state.range(0)));
   tree::CopySet copies(topo);
   util::Rng rng(5);
   std::vector<tree::CopyPlacement> held;
-  for (auto _ : state) {
-    if (held.empty() || rng.bernoulli(0.55)) {
+  const auto target = static_cast<std::uint64_t>(
+      kOccupancy * static_cast<double>(topo.n_leaves()));
+  std::uint64_t held_size = 0;
+  const auto step = [&] {
+    if (held_size < target) {
       const std::uint64_t size = std::uint64_t{1}
                                  << rng.below(topo.height() + 1);
       held.push_back(copies.place(size));
+      held_size += size;
     } else {
       const std::uint64_t pick = rng.below(held.size());
+      held_size -= topo.subtree_size(held[pick].node);
       copies.remove(held[pick]);
       held[pick] = held.back();
       held.pop_back();
     }
-  }
+  };
+  while (held_size < target) step();  // fill outside the timed loop
+  for (auto _ : state) step();
 }
 
 void BM_PackTasks(benchmark::State& state) {

@@ -106,7 +106,7 @@ void print_report(const DetSimOptions& options, const DetSimReport& report) {
 /// Outcome of verifying one corruption plan in a subprocess.
 struct CrashProbe {
   bool crashed = false;       ///< child died (nonzero exit)
-  bool dump_found = false;    ///< stderr carried a partree-crash-v1 dump
+  bool dump_found = false;    ///< stderr carried a partree-crash-v2 dump
   bool fault_named = false;   ///< ... whose reason names the exact fault
   bool skipped = false;       ///< child exited 0 (fault inapplicable)
 };
@@ -135,7 +135,7 @@ struct CrashProbe {
   std::error_code ec;
   if (std::filesystem::exists(err_path, ec)) {
     const std::string err = read_file(err_path);
-    probe.dump_found = err.find("partree-crash-v1") != std::string::npos;
+    probe.dump_found = err.find("partree-crash-v2") != std::string::npos;
     std::string named;
     for (const partree::sim::Fault& fault : options.faults.faults()) {
       if (err.find(fault.to_string()) != std::string::npos) {

@@ -11,11 +11,15 @@
 // the end the run SELF-VERIFIES: the recorded admission sequence is
 // replayed serially through Engine::run and the final state digests must
 // match -- any lost, duplicated, or reordered request changes the digest.
-// Exit status: 0 verified, 1 digest mismatch or lost requests, 2 I/O
-// error writing --metrics.
+// The metrics snapshot is taken as soon as the service stops, so it covers
+// the service alone: it must hold one migrations_planned record per served
+// reallocation round and no engine arrival_handle_ns record (the replay
+// runs after it). Exit status: 0 verified, 1 digest mismatch, lost
+// requests or a snapshot that is not the service's, 2 I/O error writing
+// --metrics.
 //
 // --metrics arms the duration timers (queue-wait and apply-latency
-// histograms) and writes a partree-metrics-v1 snapshot; validate or
+// histograms) and writes the partree-metrics-v2 snapshot; validate or
 // pretty-print it with `trace_stats --metrics <file>`.
 #include <algorithm>
 #include <cstdio>
@@ -26,7 +30,6 @@
 
 #include "core/factory.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timing.hpp"
 #include "serve/service.hpp"
 #include "sim/engine.hpp"
 #include "tree/topology.hpp"
@@ -129,7 +132,7 @@ int main(int argc, char** argv) {
       .option("batch", "epoch batch size cap", "64")
       .option("seed", "base RNG seed (client c uses seed + c)", "42")
       .option("metrics",
-              "write a partree-metrics-v1 snapshot here (arms duration "
+              "write a partree-metrics-v2 snapshot here (arms duration "
               "timers; validate with trace_stats --metrics)",
               "");
   if (!cli.parse(argc, argv)) return 2;
@@ -167,6 +170,10 @@ int main(int argc, char** argv) {
   service.drain();
   const std::uint64_t t_end = obs::detail::monotonic_ns();
   service.stop();
+  // Scope the snapshot to the service: the verification replay below
+  // records into the same registry.
+  obs::set_duration_metrics_enabled(false);
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
 
   const serve::ServiceStats stats = service.stats();
   std::vector<std::uint64_t> latencies;
@@ -224,6 +231,20 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.failed));
     ok = false;
   }
+  const std::uint64_t planned_rounds =
+      snap.value(obs::ValueMetric::kMigrationsPlanned).count;
+  const std::uint64_t engine_arrivals =
+      snap.duration(obs::DurationMetric::kArrivalHandleNs).count;
+  if (planned_rounds != stats.reallocation_count || engine_arrivals != 0) {
+    std::fprintf(stderr,
+                 "FAIL: metrics snapshot is not the service's: %llu "
+                 "migrations_planned records for %llu served rounds, %llu "
+                 "engine arrival_handle_ns records\n",
+                 static_cast<unsigned long long>(planned_rounds),
+                 static_cast<unsigned long long>(stats.reallocation_count),
+                 static_cast<unsigned long long>(engine_arrivals));
+    ok = false;
+  }
   sim::Engine engine(topo, sim::EngineOptions{.record_digests = true});
   auto replay_alloc = core::make_allocator(alloc_spec, topo);
   const sim::SimResult serial = engine.run(service.recorded(), *replay_alloc);
@@ -247,8 +268,6 @@ int main(int argc, char** argv) {
   }
 
   if (!metrics_path.empty()) {
-    obs::set_duration_metrics_enabled(false);
-    const obs::MetricsSnapshot snap = obs::snapshot_metrics();
     const std::string doc = obs::metrics_to_json(snap).dump();
     if (!util::write_file_atomic(metrics_path, doc + "\n")) {
       std::fprintf(stderr, "serve_loadgen: cannot write %s\n",

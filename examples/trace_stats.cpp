@@ -8,12 +8,12 @@
 //
 // Reports per-thread utilization (interval-union busy time over the trace
 // wall span, so nested/overlapping spans are not double counted), span
-// duration percentiles per phase name, idle-gap structure per thread, and
+// duration percentiles per duration-metric name, idle-gap structure per thread, and
 // inter-arrival statistics for the engine instants (arrival, departure,
 // realloc_round, migration_batch). --json writes the same numbers as a
 // partree-trace-stats-v1 document for downstream tooling; --min-utilization
 // turns the report into a CI gate. --metrics validates a
-// partree-metrics-v1 snapshot (bench_harness --metrics) instead.
+// partree-metrics-v2 snapshot (bench_harness --metrics) instead.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -81,8 +81,8 @@ double percentile(const std::vector<double>& sorted, double q) {
 }
 
 // Union length of [ts, ts+dur] intervals, plus gap structure between the
-// merged segments. Spans nest (a pool region contains worker spans on
-// other threads; bookkeeping follows placement on the engine thread), so
+// merged segments. Spans nest (a pool region overlaps worker spans on
+// other threads; a reallocation round nests in its arrival), so
 // summing durations would overcount -- the union is the honest busy time.
 void analyze_thread(ThreadStats& t, double wall_us) {
   std::sort(t.spans.begin(), t.spans.end(),
@@ -322,7 +322,7 @@ int validate_metrics_file(const std::string& path) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
     return 1;
   }
-  std::printf("%s: valid partree-metrics-v1 snapshot\n", path.c_str());
+  std::printf("%s: valid partree-metrics-v2 snapshot\n", path.c_str());
   return 0;
 }
 
@@ -332,7 +332,7 @@ int main(int argc, char** argv) {
   partree::util::Cli cli;
   cli.option("trace", "Chrome trace JSON to analyze (bench_harness --trace "
                       "/ trace_runner --timeline output)", "")
-      .option("metrics", "validate this partree-metrics-v1 JSON snapshot "
+      .option("metrics", "validate this partree-metrics-v2 JSON snapshot "
                          "(bench_harness --metrics output) and exit", "")
       .option("json", "also write a partree-trace-stats-v1 document here",
               "")

@@ -74,7 +74,7 @@ METRICS="$BUILD/metrics-smoke.json"
 "$BUILD/bench/bench_harness" --smoke --out "$SMOKE" --metrics "$METRICS"
 # Self-comparison must always pass: identical medians, ratio 1.0.
 "$BUILD/bench/bench_diff" --baseline "$SMOKE" --current "$SMOKE"
-# The armed run's snapshot must be a valid partree-metrics-v1 document.
+# The armed run's snapshot must be a valid partree-metrics-v2 document.
 "$BUILD/examples/trace_stats" --metrics "$METRICS"
 
 echo "check.sh: OK (ASan/UBSan tier1 + bench harness + metrics smoke)"

@@ -1,4 +1,4 @@
-// The machine-readable benchmark report ("partree-bench-v1").
+// The machine-readable benchmark report ("partree-bench-v2").
 //
 // bench_harness produces a BenchReport, serialized as BENCH_<date>.json;
 // bench_diff reads two of them and flags median-wall-time regressions
@@ -7,24 +7,22 @@
 // future CI step can consume the same structs.
 //
 // JSON layout:
-//   { "schema": "partree-bench-v1",
+//   { "schema": "partree-bench-v2",
 //     "date": "YYYY-MM-DD", "git_sha": "...", "n_threads": K,
 //     "smoke": false,
 //     "suites": [ { "name": "...", "n": 1024, "reps": 5,
 //                   "wall_ms": [..], "median_ms": m, "p90_ms": p,
 //                   "mean_ms": a, "min_ms": lo,
-//                   "counters": { "events_processed": ..., ... },
-//                   "counter_overhead_pct": x,  // only the overhead suites
-//                   "trace_overhead_pct": y,
-//                   "metrics_overhead_pct": z
+//                   "trace_overhead_pct": y,    // only the overhead
+//                   "metrics_overhead_pct": z   // suites
 //                 }, ... ] }
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "obs/counters.hpp"
 #include "util/json.hpp"
 
 namespace partree::obs {
@@ -38,27 +36,25 @@ struct BenchSuite {
   double p90_ms = 0.0;
   double mean_ms = 0.0;
   double min_ms = 0.0;
-  Counters counters;  ///< totals over one measured repetition
-  /// Counters-enabled vs disabled overhead, percent; < 0 when the suite
-  /// did not measure it.
-  double counter_overhead_pct = -1.0;
   /// What the tracing subsystem costs while DISABLED, percent: default
   /// runs (always-on flight-recorder store) vs bare runs with the
-  /// recorder switched off. < 0 when the suite did not measure it. The
+  /// recorder switched off; empty when the suite did not measure it, and
+  /// negative when noise made the default runs the faster ones. The
   /// recorded wall times of the measuring suite are the default runs.
-  double trace_overhead_pct = -1.0;
+  std::optional<double> trace_overhead_pct;
   /// What the metrics registry costs on its DEFAULT path (master switch
   /// on, duration timers off), percent, vs bare runs with the master
-  /// switch off. < 0 when the suite did not measure it. The recorded wall
-  /// times of the measuring suite are the default runs.
-  double metrics_overhead_pct = -1.0;
+  /// switch off; empty when the suite did not measure it, and may be
+  /// negative like trace_overhead_pct. The recorded wall times of the
+  /// measuring suite are the default runs.
+  std::optional<double> metrics_overhead_pct;
 
   /// Fills median/p90/mean/min from wall_ms.
   void finalize_stats();
 };
 
 struct BenchReport {
-  std::string schema = "partree-bench-v1";
+  std::string schema = "partree-bench-v2";
   std::string date;     ///< ISO date of the run
   std::string git_sha;  ///< short sha, or "unknown"
   std::uint64_t n_threads = 0;

@@ -58,13 +58,13 @@ void ChromeTraceSink::consume(const ThreadTrace& chunk) {
   for (const TraceEvent& ev : chunk.events) {
     switch (ev.kind) {
       case TraceEventKind::kSpan: {
-        const auto phase = static_cast<Phase>(ev.id);
+        const auto metric = static_cast<DurationMetric>(ev.id);
         ++spans_[ev.id];
-        std::string e = common_fields(phase_name(phase), "X", chunk.tid,
-                                      ev.a);
+        std::string e = common_fields(duration_metric_name(metric), "X",
+                                      chunk.tid, ev.a);
         e += ",\"dur\":";
         e += format_us(ev.b - ev.a);
-        e += ",\"cat\":\"phase\"}";
+        e += ",\"cat\":\"duration\"}";
         append_event(e);
         break;
       }
@@ -103,9 +103,9 @@ void ChromeTraceSink::consume(const ThreadTrace& chunk) {
   }
 }
 
-std::uint64_t ChromeTraceSink::span_count(Phase p) const {
+std::uint64_t ChromeTraceSink::span_count(DurationMetric m) const {
   std::lock_guard lock(mutex_);
-  return spans_[static_cast<std::size_t>(p)];
+  return spans_[static_cast<std::size_t>(m)];
 }
 
 std::uint64_t ChromeTraceSink::instant_count(Instant i) const {

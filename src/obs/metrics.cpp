@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <limits>
 
 #include "obs/shard_registry.hpp"
+#include "obs/trace.hpp"
 
 namespace partree::obs {
 namespace {
@@ -18,7 +20,7 @@ std::atomic<bool> g_duration_metrics_enabled{false};
 // Every cell is written by exactly one thread (its shard owner), so
 // updates are relaxed load+store pairs -- no lock-prefixed RMW on the hot
 // path -- while concurrent snapshot reads from another thread stay
-// race-free (TSan-clean), unlike the plain-integer counter shards.
+// race-free (TSan-clean).
 void add_relaxed(std::atomic<std::uint64_t>& cell, std::uint64_t n) noexcept {
   cell.store(cell.load(std::memory_order_relaxed) + n,
              std::memory_order_relaxed);
@@ -130,8 +132,9 @@ struct MetricsShard {
   }
 };
 
-// Leaked on purpose (same reasoning as counters.cpp): pool workers may
-// retire their shards after static destruction begins.
+// Leaked on purpose: pool workers may retire their shards after static
+// destruction begins, and their shard handles dereference the registry on
+// thread exit.
 detail::ShardRegistry<MetricsShard>& registry() {
   static auto* r = new detail::ShardRegistry<MetricsShard>();
   return *r;
@@ -173,6 +176,8 @@ constexpr MetricHelp kValueHelp[kNumValueMetrics] = {
     {"sweep_shard_cells", "Cells per executed sweep shard."},
     {"serve_batch_requests",
      "Requests per applied partition-service epoch batch."},
+    {"min_load_node_visits",
+     "Load-tree nodes visited per min_load_node query."},
 };
 
 constexpr MetricHelp kGaugeHelp[kNumGaugeMetrics] = {
@@ -322,6 +327,24 @@ void record_duration(DurationMetric m, std::uint64_t ns) noexcept {
   registry().local().durations[static_cast<std::size_t>(m)].record(ns);
 }
 
+namespace detail {
+
+std::uint64_t monotonic_ns() noexcept {
+  const auto now = std::chrono::steady_clock::now().time_since_epoch();
+  const auto ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(now).count();
+  // steady_clock never goes backwards; 0 is reserved for "timer disarmed".
+  return ns <= 0 ? 1 : static_cast<std::uint64_t>(ns);
+}
+
+void record_span(DurationMetric m, std::uint64_t start_ns,
+                 std::uint64_t end_ns) noexcept {
+  record_duration(m, end_ns - start_ns);
+  if (tracing_enabled()) emit_span(m, start_ns, end_ns);
+}
+
+}  // namespace detail
+
 void record_value(ValueMetric m, std::uint64_t value) noexcept {
   if (!metrics_enabled()) return;
   registry().local().values[static_cast<std::size_t>(m)].record(value);
@@ -365,7 +388,7 @@ util::json::Value metrics_to_json(const MetricsSnapshot& snap) {
     gauges.emplace(std::string(kGaugeHelp[i].name), snap.gauges[i]);
   }
   util::json::Object root;
-  root.emplace("schema", "partree-metrics-v1");
+  root.emplace("schema", "partree-metrics-v2");
   root.emplace("durations", std::move(durations));
   root.emplace("values", std::move(values));
   root.emplace("gauges", std::move(gauges));
@@ -392,7 +415,7 @@ std::string metrics_to_prometheus(const MetricsSnapshot& snap) {
 std::string validate_metrics_json(const util::json::Value& v) {
   try {
     const std::string& schema = v.at("schema").as_string();
-    if (schema != "partree-metrics-v1") {
+    if (schema != "partree-metrics-v2") {
       return "metrics json: unknown schema '" + schema + "'";
     }
     const util::json::Value& durations = v.at("durations");

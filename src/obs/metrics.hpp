@@ -1,30 +1,35 @@
-// Run metrics: distribution-level observability for the hot layers.
+// Run metrics: the one observability registry for the hot layers.
 //
-// Counters (counters.hpp) answer "how many"; this registry answers "how
-// bad does it get". Instrumented code records into log2-bucketed
-// histograms (durations and sizes), plus process-wide high-watermark
-// gauges, all sharded per thread on the shard_registry.hpp pattern so the
-// hot paths never synchronise. Unlike the counter shards, every cell here
-// is a relaxed atomic written by exactly one thread, so a snapshot taken
-// WHILE pool workers are recording is race-free (merely fuzzy) -- the
-// crash-dump path reads the registry from an aborting thread without
-// waiting for quiescence.
+// Instrumented code records into log2-bucketed histograms (durations and
+// sizes), plus process-wide high-watermark gauges, all sharded per thread
+// on the shard_registry.hpp pattern so the hot paths never synchronise. A
+// histogram's count and sum double as the event counters ("how many");
+// its buckets answer "how bad does it get". Every cell is a relaxed
+// atomic written by exactly one thread, so a snapshot taken WHILE pool
+// workers are recording is race-free (merely fuzzy) -- the crash-dump
+// path reads the registry from an aborting thread without waiting for
+// quiescence.
 //
-// Two switches, mirroring the counters/timing split:
+// Two switches:
 //
 //   * `set_metrics_enabled` (default ON) gates everything: value
 //     histograms, gauges, and pre-measured duration records. The enabled
 //     cost per record is a branch plus a handful of thread-local relaxed
-//     stores -- counter-bump territory; the bench harness gates it below
-//     1% on the E2 greedy sweep (metrics_overhead_pct).
+//     stores; the bench harness gates it below 1% on the E2 greedy sweep
+//     (metrics_overhead_pct).
 //   * `set_duration_metrics_enabled` (default OFF) additionally lets
-//     `MetricTimer` read the monotonic clock, populating the duration
-//     histograms. Two clock reads per instrumented scope are measurable
-//     on small events, so -- like phase timing -- it is opt-in
-//     (`bench_harness --metrics`).
+//     `MetricTimer` (and `duration_start`) read the monotonic clock,
+//     populating the duration histograms. Two clock reads per
+//     instrumented scope are measurable on small events, so it is opt-in
+//     (`bench_harness --metrics`, or any traced engine run).
+//
+// While a trace sink is armed (obs/trace.hpp), every interval recorded
+// through MetricTimer / record_since is also emitted as a trace span named
+// by its DurationMetric, so timelines and histograms share one set of
+// names.
 //
 // Snapshots aggregate retired + live shards into plain structs, exported
-// two ways: a canonical "partree-metrics-v1" JSON document and a
+// two ways: a canonical "partree-metrics-v2" JSON document and a
 // Prometheus text exposition (`partree_*` families). The crash-dump path
 // (obs/trace.hpp write_crash_dump) embeds the JSON document so
 // invariant-failure forensics include the distributions leading up to the
@@ -36,7 +41,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/timing.hpp"
 #include "util/json.hpp"
 
 namespace partree::obs {
@@ -44,7 +48,8 @@ namespace partree::obs {
 /// Duration histograms (nanoseconds). Populated by MetricTimer scopes
 /// while duration metrics are enabled, or directly via record_duration
 /// when the caller already holds a measurement (e.g. a sweep shard's
-/// wall time, measured anyway for the checkpoint).
+/// wall time, measured anyway for the checkpoint). The names double as
+/// trace span names.
 enum class DurationMetric : std::size_t {
   /// Engine: one arrival fully handled (placement + any reallocation +
   /// slowdown bookkeeping).
@@ -101,6 +106,9 @@ enum class ValueMetric : std::size_t {
   kSweepShardCells,
   /// Serve: requests per applied epoch batch.
   kServeBatchRequests,
+  /// Tree: nodes visited by one LoadTree::min_load_node query. count =
+  /// queries, sum = visits; visits/query << N means the pruning works.
+  kMinLoadNodeVisits,
   kCount,
 };
 
@@ -187,8 +195,31 @@ void set_metrics_enabled(bool enabled) noexcept;
 void set_duration_metrics_enabled(bool enabled) noexcept;
 [[nodiscard]] bool duration_metrics_enabled() noexcept;
 
-/// Records `ns` into a duration histogram (master switch gated).
+/// Records `ns` into a duration histogram (master switch gated). Emits no
+/// trace span: use it for intervals that are not a scope on the calling
+/// thread (queue waits, idle gaps, pre-measured wall times).
 void record_duration(DurationMetric m, std::uint64_t ns) noexcept;
+
+namespace detail {
+/// Monotonic nanoseconds; never 0 (0 marks a disarmed start stamp).
+[[nodiscard]] std::uint64_t monotonic_ns() noexcept;
+/// Records [start_ns, end_ns) under `m` and, while a trace sink is armed,
+/// emits it as a span named by `m`.
+void record_span(DurationMetric m, std::uint64_t start_ns,
+                 std::uint64_t end_ns) noexcept;
+}  // namespace detail
+
+/// Start stamp for a manually bracketed interval: the monotonic clock
+/// while duration metrics are enabled, else 0.
+[[nodiscard]] inline std::uint64_t duration_start() noexcept {
+  return duration_metrics_enabled() ? detail::monotonic_ns() : 0;
+}
+
+/// Closes an interval opened by duration_start: records now - start_ns
+/// (plus the trace span while armed). Free when `start_ns` is 0.
+inline void record_since(DurationMetric m, std::uint64_t start_ns) noexcept {
+  if (start_ns != 0) detail::record_span(m, start_ns, detail::monotonic_ns());
+}
 
 /// Records `value` into a size/count histogram (master switch gated).
 void record_value(ValueMetric m, std::uint64_t value) noexcept;
@@ -206,7 +237,7 @@ void gauge_max(GaugeMetric m, std::uint64_t value) noexcept;
 /// in-flight record may survive the reset).
 void reset_metrics();
 
-/// Canonical "partree-metrics-v1" JSON document: every histogram keyed by
+/// Canonical "partree-metrics-v2" JSON document: every histogram keyed by
 /// name with count/sum/min/max/mean and p50/p90/p99, buckets as
 /// [bucket_index, count] pairs (nonzero only), plus the gauges.
 [[nodiscard]] util::json::Value metrics_to_json(const MetricsSnapshot& snap);
@@ -217,24 +248,20 @@ void reset_metrics();
 /// gauge family per watermark.
 [[nodiscard]] std::string metrics_to_prometheus(const MetricsSnapshot& snap);
 
-/// Validates a parsed partree-metrics-v1 document: schema tag, every
+/// Validates a parsed partree-metrics-v2 document: schema tag, every
 /// metric present, bucket totals consistent with counts, min <= max.
 /// Returns "" when valid, else a message naming the violation.
 [[nodiscard]] std::string validate_metrics_json(const util::json::Value& v);
 
 /// RAII duration scope: free (one relaxed load) unless duration metrics
-/// are enabled, in which case it costs two clock reads plus one record.
+/// are enabled, in which case it costs two clock reads plus one record
+/// (and one trace span while a sink is armed).
 class MetricTimer {
  public:
   explicit MetricTimer(DurationMetric m) noexcept
-      : metric_(m),
-        start_ns_(duration_metrics_enabled() ? detail::monotonic_ns() : 0) {}
+      : metric_(m), start_ns_(duration_start()) {}
 
-  ~MetricTimer() {
-    if (start_ns_ != 0) {
-      record_duration(metric_, detail::monotonic_ns() - start_ns_);
-    }
-  }
+  ~MetricTimer() { record_since(metric_, start_ns_); }
 
   MetricTimer(const MetricTimer&) = delete;
   MetricTimer& operator=(const MetricTimer&) = delete;

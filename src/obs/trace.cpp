@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <mutex>
 
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
@@ -27,8 +26,8 @@ struct Ring {
   std::uint64_t drained = 0;      // events already handed to a sink
 };
 
-// Leaked on purpose (same reasoning as counters.cpp): rings flush on
-// thread exit, which may happen after static destruction begins.
+// Leaked on purpose: rings flush on thread exit, which may happen after
+// static destruction begins.
 struct Registry {
   std::mutex mutex;
   std::vector<Ring*> rings;
@@ -119,7 +118,8 @@ util::json::Value event_to_json(const TraceEvent& ev) {
   switch (ev.kind) {
     case TraceEventKind::kSpan: {
       obj.emplace("kind", "span");
-      obj.emplace("name", phase_name(static_cast<Phase>(ev.id)));
+      obj.emplace("name",
+                  duration_metric_name(static_cast<DurationMetric>(ev.id)));
       util::json::Object args;
       args.emplace("start_ns", ev.a);
       args.emplace("end_ns", ev.b);
@@ -261,7 +261,7 @@ void set_crash_dump_path(std::string path) {
 
 std::string write_crash_dump(std::string_view reason) {
   util::json::Object root;
-  root.emplace("schema", "partree-crash-v1");
+  root.emplace("schema", "partree-crash-v2");
   root.emplace("reason", std::string(reason));
 
   util::json::Array flight;
@@ -270,27 +270,8 @@ std::string write_crash_dump(std::string_view reason) {
   }
   root.emplace("flight_record", std::move(flight));
 
-  const Counters counters = global_counters();
-  util::json::Object counters_obj;
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    const auto c = static_cast<Counter>(i);
-    counters_obj.emplace(std::string(counter_name(c)), counters[c]);
-  }
-  root.emplace("counters", std::move(counters_obj));
-
-  const PhaseTimes phases = global_phase_times();
-  util::json::Object phases_obj;
-  for (std::size_t i = 0; i < kNumPhases; ++i) {
-    const auto p = static_cast<Phase>(i);
-    util::json::Object entry;
-    entry.emplace("ns", phases.nanos(p));
-    entry.emplace("spans", phases.count(p));
-    phases_obj.emplace(std::string(phase_name(p)), std::move(entry));
-  }
-  root.emplace("phase_times", std::move(phases_obj));
-
-  // The full partree-metrics-v1 document rides along so invariant-failure
-  // forensics include the latency/queue distributions leading up to the
+  // The full partree-metrics-v2 document rides along so invariant-failure
+  // forensics include the counts and distributions leading up to the
   // crash. Snapshotting mid-flight is safe: metrics cells are
   // single-writer relaxed atomics.
   root.emplace("metrics", metrics_to_json(snapshot_metrics()));
@@ -337,12 +318,12 @@ std::string write_crash_dump(std::string_view reason) {
 
 namespace detail {
 
-void emit_span(Phase phase, std::uint64_t start_ns,
+void emit_span(DurationMetric m, std::uint64_t start_ns,
                std::uint64_t end_ns) noexcept {
   TraceEvent ev;
   ev.ts_ns = start_ns;
   ev.kind = TraceEventKind::kSpan;
-  ev.id = static_cast<std::uint8_t>(phase);
+  ev.id = static_cast<std::uint8_t>(m);
   ev.a = start_ns;
   ev.b = end_ns;
   push_event(ev);

@@ -4,7 +4,8 @@
 // buffer -- no locks, no allocation past first use -- via three typed emit
 // paths:
 //
-//   * phase spans      (obs/timing.hpp's ScopedTimer, while timing is on)
+//   * duration spans   (obs/metrics.hpp's MetricTimer / record_since, while
+//                       duration metrics are on; named by DurationMetric)
 //   * engine instants  (arrival / departure / realloc round / migration
 //                       batch; ALWAYS recorded -- they double as the flight
 //                       recorder -- with a timestamp only while tracing)
@@ -18,8 +19,8 @@
 // ring simply wraps, at a cost of one struct store per event, and its tail
 // is the FLIGHT RECORDER: `thread_flight_record` returns the calling
 // thread's last <= kFlightRecorderEvents events, and `write_crash_dump`
-// serializes them together with the global counters and phase times as
-// canonical JSON to stderr and a crash file -- the engine calls it when
+// serializes them together with the run-metrics snapshot as canonical
+// JSON to stderr and a crash file -- the engine calls it when
 // `EngineOptions::debug_checks` catches an invariant violation, so the
 // events leading up to the corruption survive the abort.
 #pragma once
@@ -30,7 +31,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/timing.hpp"
+#include "obs/metrics.hpp"
 
 namespace partree::obs {
 
@@ -66,7 +67,8 @@ inline constexpr std::size_t kNumInstants =
 [[nodiscard]] std::string_view instant_name(Instant i) noexcept;
 
 enum class TraceEventKind : std::uint8_t {
-  /// One completed phase span: a = start_ns, b = end_ns, id = Phase.
+  /// One completed duration span: a = start_ns, b = end_ns,
+  /// id = DurationMetric.
   kSpan = 0,
   /// One engine instant: a = payload, id = Instant.
   kInstant,
@@ -85,7 +87,7 @@ struct TraceEvent {
   std::uint64_t c = 0;
   std::uint64_t d = 0;
   TraceEventKind kind = TraceEventKind::kInstant;
-  std::uint8_t id = 0;  ///< Phase for spans, Instant for instants
+  std::uint8_t id = 0;  ///< DurationMetric for spans, Instant for instants
 };
 
 /// Ring capacity per thread (power of two). A sinkless ring wraps; an
@@ -119,8 +121,8 @@ class CountingTraceSink final : public TraceSink {
  public:
   void consume(const ThreadTrace& chunk) override;
 
-  [[nodiscard]] std::uint64_t spans(Phase p) const noexcept {
-    return spans_[static_cast<std::size_t>(p)];
+  [[nodiscard]] std::uint64_t spans(DurationMetric m) const noexcept {
+    return spans_[static_cast<std::size_t>(m)];
   }
   [[nodiscard]] std::uint64_t instants(Instant i) const noexcept {
     return instants_[static_cast<std::size_t>(i)];
@@ -132,7 +134,7 @@ class CountingTraceSink final : public TraceSink {
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
-  std::array<std::uint64_t, kNumPhases> spans_{};
+  std::array<std::uint64_t, kNumDurationMetrics> spans_{};
   std::array<std::uint64_t, kNumInstants> instants_{};
   std::uint64_t counter_samples_ = 0;
   std::uint64_t total_ = 0;
@@ -178,8 +180,8 @@ void emit_counters(std::uint64_t max_load, std::uint64_t l_star,
 /// if missing) when that is set, else in the working directory.
 void set_crash_dump_path(std::string path);
 
-/// Serializes the calling thread's flight record plus global counters and
-/// phase times ("partree-crash-v1" JSON) to stderr and the crash-dump
+/// Serializes the calling thread's flight record plus the run-metrics
+/// snapshot ("partree-crash-v2" JSON) to stderr and the crash-dump
 /// file. The file write is atomic (tmp + rename), so a crash mid-dump
 /// never leaves truncated JSON. Returns the file path, or "" if the file
 /// could not be written (the stderr copy is emitted regardless). Called
@@ -187,8 +189,8 @@ void set_crash_dump_path(std::string path);
 std::string write_crash_dump(std::string_view reason);
 
 namespace detail {
-/// Span feed from timing.cpp's record_span; tracing-gated by the caller.
-void emit_span(Phase phase, std::uint64_t start_ns,
+/// Span feed from metrics.cpp's record_span; tracing-gated by the caller.
+void emit_span(DurationMetric m, std::uint64_t start_ns,
                std::uint64_t end_ns) noexcept;
 }  // namespace detail
 

@@ -91,9 +91,7 @@ PartitionService::Admitted PartitionService::admit(core::EventKind kind,
   req.kind = kind;
   req.task = kind == core::EventKind::kArrival ? core::Task{next_id_++, size}
                                                : core::Task{id, 0};
-  if (obs::duration_metrics_enabled()) {
-    req.enqueue_ns = obs::detail::monotonic_ns();
-  }
+  req.enqueue_ns = obs::duration_start();
   Admitted admitted{req.task.id, req.promise.get_future()};
   queue_.push_back(std::move(req));
   ++stats_.admitted;
@@ -254,13 +252,9 @@ void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
     state_.place(req.task, node);
     placement.size = req.task.size;
     placement.node = node;
-    const std::uint64_t plan_t0 =
-        obs::duration_metrics_enabled() ? obs::detail::monotonic_ns() : 0;
+    const std::uint64_t plan_t0 = obs::duration_start();
     if (auto migrations = allocator_->maybe_reallocate(state_)) {
-      if (plan_t0 != 0) {
-        obs::record_duration(obs::DurationMetric::kReallocPlanNs,
-                             obs::detail::monotonic_ns() - plan_t0);
-      }
+      obs::record_since(obs::DurationMetric::kReallocPlanNs, plan_t0);
       ++delta.reallocation_count;
       obs::emit_instant(obs::Instant::kReallocRound, migrations->size());
       const core::AppliedMigrations applied = state_.migrate(*migrations);
@@ -271,13 +265,10 @@ void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
                         migrations->size());
       obs::record_value(obs::ValueMetric::kMigrationsApplied, applied.moved);
       obs::record_value(obs::ValueMetric::kMigrationBatchSize, applied.moved);
-      if (plan_t0 != 0) {
-        // Same bracket as the engine: plan start through the last
-        // applied move, so plan and round histograms pair one-to-one
-        // whichever front end ran the round.
-        obs::record_duration(obs::DurationMetric::kReallocRoundNs,
-                             obs::detail::monotonic_ns() - plan_t0);
-      }
+      // Same bracket as the engine: plan start through the last applied
+      // move, so plan and round histograms pair one-to-one whichever
+      // front end ran the round.
+      obs::record_since(obs::DurationMetric::kReallocRoundNs, plan_t0);
       // The task may have been moved by the reallocation it triggered;
       // report where it actually lives.
       placement.node = state_.active_task(req.task.id).node;

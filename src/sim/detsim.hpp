@@ -14,7 +14,7 @@
 //   * run_detsim       -- fault-free baseline + faulted replay +
 //     digest verification. Recoverable faults (alloc_fail, cancel,
 //     perturb:pool) must converge back to the baseline digest; corruption
-//     faults must abort with a partree-crash-v1 dump naming the fault
+//     faults must abort with a partree-crash-v2 dump naming the fault
 //     (run those under a death test or subprocess -- run_detsim does not
 //     return when a corruption applies).
 //   * digest_divergences -- serial vs worker-pool differential sweep

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <optional>
 
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
 #include "sim/slowdown.hpp"
@@ -15,11 +13,11 @@
 namespace partree::sim {
 namespace {
 
-// debug_checks violation: preserve the evidence (flight record, counters,
-// phase times) before aborting -- the last K engine events usually point
+// debug_checks violation: preserve the evidence (flight record, metrics
+// snapshot) before aborting -- the last K engine events usually point
 // straight at the mutation that corrupted the state. When a fault injector
 // is armed, the most recently applied fault rides along in the reason, so
-// the partree-crash-v1 dump names the injected component and step.
+// the partree-crash-v2 dump names the injected component and step.
 [[noreturn]] void invariant_failure(std::string msg,
                                     const FaultInjector* injector) {
   if (injector != nullptr && !injector->context().empty()) {
@@ -66,21 +64,23 @@ void check_state_invariants(const core::MachineState& state,
   }
 }
 
-// Arms the trace sink + timing for one traced run and restores both on
-// scope exit (including the drain, so the sink sees the full run).
+// Arms the trace sink + duration metrics (whose timers emit the spans)
+// for one traced run and restores both on scope exit (including the
+// drain, so the sink sees the full run).
 class ScopedTraceArm {
  public:
   explicit ScopedTraceArm(obs::TraceSink* sink)
-      : armed_(sink != nullptr), timing_was_(obs::timing_enabled()) {
+      : armed_(sink != nullptr),
+        durations_were_(obs::duration_metrics_enabled()) {
     if (armed_) {
       obs::set_trace_sink(sink);
-      obs::set_timing_enabled(true);
+      obs::set_duration_metrics_enabled(true);
     }
   }
   ~ScopedTraceArm() {
     if (armed_) {
       obs::set_trace_sink(nullptr);  // flushes every live ring first
-      obs::set_timing_enabled(timing_was_);
+      obs::set_duration_metrics_enabled(durations_were_);
     }
   }
   ScopedTraceArm(const ScopedTraceArm&) = delete;
@@ -88,7 +88,7 @@ class ScopedTraceArm {
 
  private:
   bool armed_;
-  bool timing_was_;
+  bool durations_were_;
 };
 
 }  // namespace
@@ -109,7 +109,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
                                   core::TaskSequence* recorded) {
   util::Timer timer;
   const ScopedTraceArm trace_arm(options_.trace);
-  const obs::Counters counters_before = obs::thread_counters();
   allocator.reset();
   core::MachineState state(topo_);
 
@@ -183,56 +182,40 @@ SimResult Engine::run_interactive(core::EventSource& source,
           obs::DurationMetric::kArrivalHandleNs);
       const core::Task& task = event->task;
       if (recorded != nullptr) recorded->arrive_as(task.id, task.size);
-      {
-        const obs::ScopedTimer place_timer(obs::Phase::kPlace);
-        const tree::NodeId node = allocator.place(task, state);
+      const tree::NodeId node = allocator.place(task, state);
+      state.place(task, node);
+      if (fail_alloc_once) {
+        // Injected transient allocation failure: the decision was made
+        // but its application "failed"; roll the state back and retry
+        // the same decision. Recovery must be digest-exact -- the
+        // roll-back exercises the assign/release paths under fire.
+        state.remove(task.id);
         state.place(task, node);
-        if (fail_alloc_once) {
-          // Injected transient allocation failure: the decision was made
-          // but its application "failed"; roll the state back and retry
-          // the same decision. Recovery must be digest-exact -- the
-          // roll-back exercises the assign/release paths under fire.
-          state.remove(task.id);
-          state.place(task, node);
-        }
       }
-      reallocated = false;
-      {
-        const obs::ScopedTimer realloc_timer(obs::Phase::kReallocate);
-        // The round is only a round once maybe_reallocate says yes, so
-        // the duration metric brackets decision + application manually
-        // and records nothing for the (overwhelmingly common) no-op
-        // decisions -- kReallocRoundNs counts applied rounds only.
-        const std::uint64_t realloc_t0 = obs::duration_metrics_enabled()
-                                             ? obs::detail::monotonic_ns()
-                                             : 0;
-        if (auto migrations = allocator.maybe_reallocate(state)) {
-          // Planning half of the round: everything up to here is the
-          // allocator deciding where tasks go; what follows applies it.
-          if (realloc_t0 != 0) {
-            obs::record_duration(obs::DurationMetric::kReallocPlanNs,
-                                 obs::detail::monotonic_ns() - realloc_t0);
-          }
-          ++result.reallocation_count;
-          reallocated = true;
-          obs::bump(obs::Counter::kReallocRounds);
-          obs::emit_instant(obs::Instant::kReallocRound, migrations->size());
-          if (options_.on_reallocation) options_.on_reallocation(*migrations);
-          const core::AppliedMigrations applied = state.migrate(*migrations);
-          result.migration_planned_count += migrations->size();
-          result.migration_count += applied.moved;
-          result.migrated_size += applied.moved_size;
-          obs::record_value(obs::ValueMetric::kMigrationsPlanned,
-                            migrations->size());
-          obs::record_value(obs::ValueMetric::kMigrationsApplied,
-                            applied.moved);
-          obs::record_value(obs::ValueMetric::kMigrationBatchSize,
-                            applied.moved);
-          if (realloc_t0 != 0) {
-            obs::record_duration(obs::DurationMetric::kReallocRoundNs,
-                                 obs::detail::monotonic_ns() - realloc_t0);
-          }
-        }
+      // The round is only a round once maybe_reallocate says yes, so the
+      // duration metrics bracket decision + application manually and
+      // record nothing for the (overwhelmingly common) no-op decisions --
+      // kReallocRoundNs counts applied rounds only.
+      const std::uint64_t realloc_t0 = obs::duration_start();
+      if (auto migrations = allocator.maybe_reallocate(state)) {
+        // Planning half of the round: everything up to here is the
+        // allocator deciding where tasks go; what follows applies it.
+        obs::record_since(obs::DurationMetric::kReallocPlanNs, realloc_t0);
+        ++result.reallocation_count;
+        reallocated = true;
+        obs::emit_instant(obs::Instant::kReallocRound, migrations->size());
+        if (options_.on_reallocation) options_.on_reallocation(*migrations);
+        const core::AppliedMigrations applied = state.migrate(*migrations);
+        result.migration_planned_count += migrations->size();
+        result.migration_count += applied.moved;
+        result.migrated_size += applied.moved_size;
+        obs::record_value(obs::ValueMetric::kMigrationsPlanned,
+                          migrations->size());
+        obs::record_value(obs::ValueMetric::kMigrationsApplied,
+                          applied.moved);
+        obs::record_value(obs::ValueMetric::kMigrationBatchSize,
+                          applied.moved);
+        obs::record_since(obs::DurationMetric::kReallocRoundNs, realloc_t0);
       }
       if (slowdowns) {
         if (reallocated) {
@@ -243,24 +226,19 @@ SimResult Engine::run_interactive(core::EventSource& source,
         }
       }
       ++result.arrivals;
-      obs::bump(obs::Counter::kArrivals);
       obs::emit_instant(obs::Instant::kArrival, task.id);
     } else {
       const obs::MetricTimer departure_metric(
           obs::DurationMetric::kDepartureHandleNs);
-      const obs::ScopedTimer departure_timer(obs::Phase::kDeparture);
       if (recorded != nullptr) recorded->depart(event->task.id);
       if (slowdowns) slowdowns->on_departure(event->task.id, state);
       allocator.on_departure(event->task.id, state);
       state.remove(event->task.id);
       ++result.departures;
-      obs::bump(obs::Counter::kDepartures);
       obs::emit_instant(obs::Instant::kDeparture, event->task.id);
     }
     ++result.events;
-    obs::bump(obs::Counter::kEventsProcessed);
 
-    const obs::ScopedTimer bookkeeping_timer(obs::Phase::kBookkeeping);
     const std::uint64_t load = state.max_load();
     if (load > result.max_load) {
       result.max_load = load;
@@ -300,7 +278,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
     result.mean_slowdown = slowdowns->mean_completed();
   }
   result.optimal_load = state.optimal_load();
-  result.counters = obs::thread_counters().delta_since(counters_before);
   result.wall_seconds = timer.seconds();
   return result;
 }

@@ -157,7 +157,7 @@ class FaultInjector {
   /// Context line for crash dumps: the most recently APPLIED fault in
   /// grammar form ("corrupt:load_tree@30"), or "" before any fault fired.
   /// The engine appends it to the debug_checks failure reason, so the
-  /// partree-crash-v1 dump names the injected component and step.
+  /// partree-crash-v2 dump names the injected component and step.
   [[nodiscard]] const std::string& context() const noexcept {
     return context_;
   }

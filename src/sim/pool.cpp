@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timing.hpp"
 #include "sim/parallel.hpp"
 
 namespace partree::sim {
@@ -20,7 +18,7 @@ thread_local bool t_in_pool_worker = false;
 WorkerPool& WorkerPool::instance() {
   // Function-local static (not leaked): the destructor joins the workers
   // at static destruction, so sanitized binaries exit with no live
-  // threads. Worker thread-locals (counter shards, trace rings) retire
+  // threads. Worker thread-locals (metrics shards, trace rings) retire
   // into the leaked obs registries, which outlive this object by design.
   static WorkerPool pool;
   return pool;
@@ -41,8 +39,9 @@ void WorkerPool::run(std::size_t n,
   if (n == 0) return;
   const std::size_t k = resolve_thread_count(n, n_threads);
 
-  const obs::ScopedTimer region_timer(obs::Phase::kParallelRegion);
   const obs::MetricTimer region_metric(obs::DurationMetric::kPoolRegionNs);
+  // Items DISPATCHED: a region cancelled by a throwing item still counts
+  // the items it skipped.
   obs::record_value(obs::ValueMetric::kPoolRegionItems, n);
   obs::gauge_max(obs::GaugeMetric::kPoolQueueDepthHwm, n);
   obs::gauge_max(obs::GaugeMetric::kPoolWorkersHwm, k);
@@ -51,25 +50,18 @@ void WorkerPool::run(std::size_t n,
     // Serial (and nested-region) path: inline on the calling thread, in
     // index order, no pool involvement. Exceptions propagate directly --
     // nothing after the throwing item executes.
-    for (std::size_t i = 0; i < n; ++i) {
-      fn(0, i);
-      obs::bump(obs::Counter::kParallelTasks);
-    }
+    for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }
 
-  const std::uint64_t dispatch_t0 =
-      obs::duration_metrics_enabled() ? obs::detail::monotonic_ns() : 0;
+  const std::uint64_t dispatch_t0 = obs::duration_start();
   std::unique_lock lock(mutex_);
   // One region at a time: a second top-level caller queues here until the
   // pool is idle again.
   cv_done_.wait(lock, [&] { return !active_ && !stop_; });
-  if (dispatch_t0 != 0) {
-    // Region-level queueing delay: how long this caller sat behind other
-    // top-level regions (plus the lock handoff) before dispatching.
-    obs::record_duration(obs::DurationMetric::kPoolDispatchWaitNs,
-                         obs::detail::monotonic_ns() - dispatch_t0);
-  }
+  // Region-level queueing delay: how long this caller sat behind other
+  // top-level regions (plus the lock handoff) before dispatching.
+  obs::record_since(obs::DurationMetric::kPoolDispatchWaitNs, dispatch_t0);
   ensure_workers_locked(k);
 
   fn_ = &fn;
@@ -111,8 +103,7 @@ void WorkerPool::worker_main(std::size_t w, std::uint64_t seen_epoch) {
   t_in_pool_worker = true;
   // Idle gap between consecutive regions this worker ran; armed only
   // while duration metrics are on (a clock read per region dispatch).
-  std::uint64_t idle_since =
-      obs::duration_metrics_enabled() ? obs::detail::monotonic_ns() : 0;
+  std::uint64_t idle_since = obs::duration_start();
   std::unique_lock lock(mutex_);
   for (;;) {
     cv_work_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
@@ -120,23 +111,22 @@ void WorkerPool::worker_main(std::size_t w, std::uint64_t seen_epoch) {
     seen_epoch = epoch_;
     if (w >= participants_) continue;  // idle for this region
     if (idle_since != 0) {
+      // Not a span: a parked gap must not read as busy in a timeline.
       obs::record_duration(obs::DurationMetric::kPoolWorkerIdleNs,
                            obs::detail::monotonic_ns() - idle_since);
     }
     lock.unlock();
     execute_region(w);
     lock.lock();
-    idle_since =
-        obs::duration_metrics_enabled() ? obs::detail::monotonic_ns() : 0;
+    idle_since = obs::duration_start();
     if (--running_ == 0) cv_done_.notify_all();
   }
 }
 
 void WorkerPool::execute_region(std::size_t w) {
   // Timed on the worker thread: with tracing armed, each pool worker gets
-  // its own lifetime span per region (and its own ring), so the timeline
+  // its own busy span per region (and its own ring), so the timeline
   // shows one track per pool thread across back-to-back regions.
-  const obs::ScopedTimer worker_timer(obs::Phase::kParallelWorker);
   const obs::MetricTimer busy_metric(obs::DurationMetric::kPoolWorkerBusyNs);
   const std::function<void(std::size_t, std::size_t)>& fn = *fn_;
   const std::size_t n = n_;
@@ -153,7 +143,6 @@ void WorkerPool::execute_region(std::size_t w) {
       if (cancel_.load(std::memory_order_relaxed)) break;
       try {
         fn(w, i);
-        obs::bump(obs::Counter::kParallelTasks);
       } catch (...) {
         std::lock_guard guard(error_mutex_);
         if (error_ == nullptr) error_ = std::current_exception();

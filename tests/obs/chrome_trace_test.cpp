@@ -2,14 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/factory.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
@@ -57,21 +59,74 @@ TEST(ChromeTraceTest, CountingSinkMatchesEngineCounters) {
   // Run fully drained at disarm: every emit reached the sink, none dropped.
   EXPECT_EQ(sink.dropped(), 0u);
   EXPECT_EQ(sink.instants(Instant::kArrival), r.arrivals);
-  EXPECT_EQ(sink.instants(Instant::kArrival),
-            r.counters[Counter::kArrivals]);
   EXPECT_EQ(sink.instants(Instant::kDeparture), r.departures);
   EXPECT_EQ(sink.instants(Instant::kReallocRound), r.reallocation_count);
   // One migrate() per elected reallocation.
   EXPECT_EQ(sink.instants(Instant::kMigrationBatch), r.reallocation_count);
 
-  // Phase spans: place + reallocate bracket each arrival, departure each
-  // departure, bookkeeping each event.
-  EXPECT_EQ(sink.spans(Phase::kPlace), r.arrivals);
-  EXPECT_EQ(sink.spans(Phase::kReallocate), r.arrivals);
-  EXPECT_EQ(sink.spans(Phase::kDeparture), r.departures);
-  EXPECT_EQ(sink.spans(Phase::kBookkeeping), r.events);
+  // Duration spans: one per handled arrival and departure; plan and
+  // round spans only for applied rounds (greedy never reallocates).
+  EXPECT_EQ(sink.spans(DurationMetric::kArrivalHandleNs), r.arrivals);
+  EXPECT_EQ(sink.spans(DurationMetric::kDepartureHandleNs), r.departures);
+  EXPECT_EQ(sink.spans(DurationMetric::kReallocPlanNs), r.reallocation_count);
+  EXPECT_EQ(sink.spans(DurationMetric::kReallocRoundNs),
+            r.reallocation_count);
 
   EXPECT_EQ(sink.counter_samples(), r.events / run.sample_every);
+}
+
+// Reallocation rounds appear as realloc_plan_ns / realloc_round_ns spans
+// nested inside the arrival_handle_ns span of the arrival that triggered
+// them, one pair per applied round.
+TEST(ChromeTraceTest, ReallocSpansNestInTheirArrival) {
+  const tree::Topology topo(64);
+  util::Rng rng(777);
+  workload::ClosedLoopParams params;
+  params.n_events = 400;
+  params.utilization = 0.8;
+  params.size = workload::SizeSpec::uniform_log(0, topo.height());
+  const auto seq = workload::closed_loop(topo, params, rng);
+
+  ChromeTraceSink sink;
+  sim::EngineOptions options;
+  options.trace = &sink;
+  sim::Engine engine(topo, options);
+  auto alloc = core::make_allocator("dmix:d=1", topo);
+  const sim::SimResult r = engine.run(seq, *alloc);
+  ASSERT_GT(r.reallocation_count, 0u);
+  EXPECT_EQ(sink.span_count(DurationMetric::kReallocPlanNs),
+            r.reallocation_count);
+  EXPECT_EQ(sink.span_count(DurationMetric::kReallocRoundNs),
+            r.reallocation_count);
+  EXPECT_EQ(sink.span_count(DurationMetric::kArrivalHandleNs), r.arrivals);
+
+  // Each round span lies within some arrival span (the trace holds one
+  // thread, so matching by interval is exact).
+  struct Interval {
+    double begin;
+    double end;
+  };
+  std::vector<Interval> arrivals;
+  std::vector<Interval> rounds;
+  const util::json::Value doc = util::json::parse(sink.document());
+  for (const util::json::Value& ev : doc.at("traceEvents").as_array()) {
+    if (ev.at("ph").as_string() != "X") continue;
+    const double ts = ev.at("ts").as_double();
+    const Interval span{ts, ts + ev.at("dur").as_double()};
+    const std::string name = ev.at("name").as_string();
+    if (name == "arrival_handle_ns") arrivals.push_back(span);
+    if (name == "realloc_plan_ns" || name == "realloc_round_ns") {
+      rounds.push_back(span);
+    }
+  }
+  ASSERT_EQ(rounds.size(), 2 * r.reallocation_count);
+  for (const Interval& round : rounds) {
+    const bool nested = std::any_of(
+        arrivals.begin(), arrivals.end(), [&round](const Interval& a) {
+          return a.begin <= round.begin && round.end <= a.end;
+        });
+    EXPECT_TRUE(nested) << "round span at " << round.begin;
+  }
 }
 
 TEST(ChromeTraceTest, UntracedRunEmitsNothingToSinks) {
@@ -88,7 +143,7 @@ TEST(ChromeTraceTest, DocumentIsValidChromeTraceJson) {
 
   // Sink accessors agree with the run before we even parse.
   EXPECT_EQ(sink.dropped_events(), 0u);
-  EXPECT_EQ(sink.span_count(Phase::kPlace), r.arrivals);
+  EXPECT_EQ(sink.span_count(DurationMetric::kArrivalHandleNs), r.arrivals);
   EXPECT_EQ(sink.instant_count(Instant::kArrival), r.arrivals);
   EXPECT_EQ(sink.counter_samples(), r.events / run.sample_every);
 
@@ -98,7 +153,7 @@ TEST(ChromeTraceTest, DocumentIsValidChromeTraceJson) {
   const util::json::Array& events = doc.at("traceEvents").as_array();
   ASSERT_FALSE(events.empty());
 
-  std::uint64_t x_place = 0;
+  std::uint64_t x_arrival = 0;
   std::uint64_t i_arrival = 0;
   std::set<std::string> meta_names;
   std::set<std::string> counter_tracks;
@@ -117,8 +172,8 @@ TEST(ChromeTraceTest, DocumentIsValidChromeTraceJson) {
     if (ph == "X") {
       span_names.insert(name);
       EXPECT_GE(ev.at("dur").as_double(), 0.0);
-      EXPECT_EQ(ev.at("cat").as_string(), "phase");
-      if (name == "place") ++x_place;
+      EXPECT_EQ(ev.at("cat").as_string(), "duration");
+      if (name == "arrival_handle_ns") ++x_arrival;
     } else if (ph == "i") {
       EXPECT_EQ(ev.at("cat").as_string(), "engine");
       if (name == "arrival") ++i_arrival;
@@ -134,18 +189,17 @@ TEST(ChromeTraceTest, DocumentIsValidChromeTraceJson) {
   EXPECT_TRUE(meta_names.count("process_name"));
   EXPECT_TRUE(meta_names.count("thread_name"));
 
-  // The expected phase tracks and counter series are all present.
-  EXPECT_TRUE(span_names.count("place"));
-  EXPECT_TRUE(span_names.count("reallocate"));
-  EXPECT_TRUE(span_names.count("departure"));
-  EXPECT_TRUE(span_names.count("bookkeeping"));
+  // Spans are named by duration metric: exactly the engine's two
+  // handling spans (no round was applied), and the counter series.
+  EXPECT_EQ(span_names, (std::set<std::string>{"arrival_handle_ns",
+                                               "departure_handle_ns"}));
   EXPECT_TRUE(counter_tracks.count("max_load"));
   EXPECT_TRUE(counter_tracks.count("l_star"));
   EXPECT_TRUE(counter_tracks.count("active_size"));
   EXPECT_TRUE(counter_tracks.count("active_tasks"));
 
-  // Span/instant counts in the serialized JSON match the run's counters.
-  EXPECT_EQ(x_place, r.counters[Counter::kArrivals]);
+  // Span/instant counts in the serialized JSON match the run's counts.
+  EXPECT_EQ(x_arrival, r.arrivals);
   EXPECT_EQ(i_arrival, r.arrivals);
 }
 
@@ -173,20 +227,20 @@ TEST(ChromeTraceTest, BackToBackParallelRegionsKeepOneTrackPerPoolThread) {
   pool.shutdown();  // fresh worker set so track counting is exact
 
   ChromeTraceSink sink;
-  set_timing_enabled(true);
+  set_duration_metrics_enabled(true);
   set_trace_sink(&sink);
   constexpr int kRegions = 3;
   for (int round = 0; round < kRegions; ++round) {
     sim::parallel_for(64, [](std::size_t) {}, 2);
   }
   set_trace_sink(nullptr);  // flushes the live per-thread rings
-  set_timing_enabled(false);
+  set_duration_metrics_enabled(false);
 
   EXPECT_EQ(sink.dropped_events(), 0u);
-  EXPECT_EQ(sink.span_count(Phase::kParallelRegion),
+  EXPECT_EQ(sink.span_count(DurationMetric::kPoolRegionNs),
             static_cast<std::uint64_t>(kRegions));
   // One worker span per worker per region.
-  EXPECT_EQ(sink.span_count(Phase::kParallelWorker),
+  EXPECT_EQ(sink.span_count(DurationMetric::kPoolWorkerBusyNs),
             static_cast<std::uint64_t>(2 * kRegions));
 
   const util::json::Value doc = util::json::parse(sink.document());
@@ -195,9 +249,9 @@ TEST(ChromeTraceTest, BackToBackParallelRegionsKeepOneTrackPerPoolThread) {
   for (const util::json::Value& ev : doc.at("traceEvents").as_array()) {
     if (ev.at("ph").as_string() != "X") continue;
     const std::string name = ev.at("name").as_string();
-    if (name == "parallel_worker") {
+    if (name == "pool_worker_busy_ns") {
       worker_tids.insert(ev.at("tid").as_u64());
-    } else if (name == "parallel_region") {
+    } else if (name == "pool_region_ns") {
       region_tids.insert(ev.at("tid").as_u64());
     }
   }
@@ -213,7 +267,8 @@ TEST(ChromeTraceTest, TracedRunsAreRepeatable) {
   const TracedRun first = run_traced(&a);
   const TracedRun second = run_traced(&b);
   EXPECT_EQ(first.result.max_load, second.result.max_load);
-  EXPECT_EQ(a.span_count(Phase::kPlace), b.span_count(Phase::kPlace));
+  EXPECT_EQ(a.span_count(DurationMetric::kArrivalHandleNs),
+            b.span_count(DurationMetric::kArrivalHandleNs));
   EXPECT_EQ(a.instant_count(Instant::kArrival),
             b.instant_count(Instant::kArrival));
   EXPECT_EQ(a.counter_samples(), b.counter_samples());

@@ -12,6 +12,7 @@
 
 #include "core/event_source.hpp"
 #include "core/factory.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "tree/load_tree.hpp"
@@ -78,7 +79,7 @@ TEST(FlightRecorderDeathTest, CrashDumpHoldsLastKEventsInOrder) {
   buf << in.rdbuf();
   const util::json::Value dump = util::json::parse(buf.str());
 
-  EXPECT_EQ(dump.at("schema").as_string(), "partree-crash-v1");
+  EXPECT_EQ(dump.at("schema").as_string(), "partree-crash-v2");
   EXPECT_NE(dump.at("reason").as_string().find("debug check"),
             std::string::npos);
 
@@ -107,9 +108,15 @@ TEST(FlightRecorderDeathTest, CrashDumpHoldsLastKEventsInOrder) {
   }
   EXPECT_EQ(prev_value, kArrivalCount);  // task ids are 1-based
 
-  // Counters and phase times rode along.
-  EXPECT_GE(dump.at("counters").at("arrivals").as_u64(), kArrivalCount);
-  EXPECT_NE(dump.at("phase_times").find("place"), nullptr);
+  // The metrics snapshot is the dump's only count source: greedy queried
+  // min_load_node once per arrival.
+  EXPECT_EQ(dump.find("counters"), nullptr);
+  EXPECT_EQ(dump.find("phase_times"), nullptr);
+  const util::json::Value& metrics = dump.at("metrics");
+  EXPECT_EQ(validate_metrics_json(metrics), "");
+  EXPECT_GE(metrics.at("values").at("min_load_node_visits").at("count")
+                .as_u64(),
+            kArrivalCount);
 }
 
 // Default-path behavior: with no set_crash_dump_path override, the dump
@@ -152,7 +159,7 @@ TEST(FlightRecorderDeathTest, DefaultDumpHonorsCrashDirEnv) {
   std::stringstream buf;
   buf << in.rdbuf();
   const util::json::Value dump = util::json::parse(buf.str());
-  EXPECT_EQ(dump.at("schema").as_string(), "partree-crash-v1");
+  EXPECT_EQ(dump.at("schema").as_string(), "partree-crash-v2");
   EXPECT_EQ(dump.at("flight_record").as_array().size(),
             kFlightRecorderEvents);
 

@@ -1,15 +1,18 @@
 // Tests for the run-metrics registry (obs/metrics.hpp): bucket layout,
-// quantile behavior at the extremes, the two switches, cross-shard
-// aggregation through real pool workers, snapshot-while-recording (the
-// TSan target), the pinned JSON/Prometheus exports, schema validation,
-// engine integration, and the crash-dump embedding.
+// quantile behavior at the extremes, the two switches, timer spans into
+// an armed trace sink, cross-shard aggregation and reset through real
+// pool workers, snapshot-while-recording (the TSan target), the pinned
+// JSON/Prometheus exports, schema validation, engine integration, and the
+// crash-dump embedding.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,6 +133,64 @@ TEST_F(MetricsTest, DurationSwitchGatesTimersButNotDirectRecords) {
             1u);
 }
 
+// An armed sink receives one span per timed scope, named by its metric,
+// and the same scopes land in the histograms.
+TEST_F(MetricsTest, ArmedSinkSeesEveryTimerSpan) {
+  CountingTraceSink sink;
+  set_duration_metrics_enabled(true);
+  set_trace_sink(&sink);
+  {
+    const MetricTimer t(DurationMetric::kDepartureHandleNs);
+  }
+  {
+    const MetricTimer t(DurationMetric::kReallocRoundNs);
+  }
+  record_since(DurationMetric::kReallocPlanNs, duration_start());
+  // A pre-measured duration is not a scope on this thread: no span.
+  record_duration(DurationMetric::kSweepShardNs, 1234);
+  set_trace_sink(nullptr);  // disarming drains the calling thread's ring
+  set_duration_metrics_enabled(false);
+
+  EXPECT_EQ(sink.spans(DurationMetric::kDepartureHandleNs), 1u);
+  EXPECT_EQ(sink.spans(DurationMetric::kReallocRoundNs), 1u);
+  EXPECT_EQ(sink.spans(DurationMetric::kReallocPlanNs), 1u);
+  EXPECT_EQ(sink.spans(DurationMetric::kSweepShardNs), 0u);
+  EXPECT_EQ(sink.spans(DurationMetric::kArrivalHandleNs), 0u);
+  EXPECT_EQ(sink.dropped(), 0u);
+  const MetricsSnapshot snap = snapshot_metrics();
+  EXPECT_EQ(snap.duration(DurationMetric::kDepartureHandleNs).count, 1u);
+  EXPECT_EQ(snap.duration(DurationMetric::kReallocPlanNs).count, 1u);
+}
+
+// A disarmed timer reads no clock, records nothing and emits nothing,
+// even into an armed sink; an armed timer with no sink records but emits
+// nothing a later sink could see.
+TEST_F(MetricsTest, DisarmedTimerEmitsNoSpan) {
+  CountingTraceSink sink;
+  set_trace_sink(&sink);
+  EXPECT_EQ(duration_start(), 0u);
+  {
+    const MetricTimer t(DurationMetric::kArrivalHandleNs);
+  }
+  record_since(DurationMetric::kReallocPlanNs, duration_start());
+  set_trace_sink(nullptr);
+  EXPECT_EQ(sink.total(), 0u);
+  EXPECT_EQ(snapshot_metrics().duration(DurationMetric::kArrivalHandleNs).count,
+            0u);
+
+  set_duration_metrics_enabled(true);
+  {
+    const MetricTimer t(DurationMetric::kArrivalHandleNs);
+  }
+  set_duration_metrics_enabled(false);
+  CountingTraceSink later;
+  set_trace_sink(&later);
+  set_trace_sink(nullptr);
+  EXPECT_EQ(later.total(), 0u);
+  EXPECT_EQ(snapshot_metrics().duration(DurationMetric::kArrivalHandleNs).count,
+            1u);
+}
+
 TEST_F(MetricsTest, GaugeMergesByMaxAcrossThreads) {
   gauge_max(GaugeMetric::kPoolQueueDepthHwm, 10);
   gauge_max(GaugeMetric::kPoolQueueDepthHwm, 4);  // lower: no effect
@@ -146,11 +207,117 @@ TEST_F(MetricsTest, PoolWorkersAggregateAcrossShards) {
   // The pool instrumented itself: one region of kItems, every item
   // claimed in exactly one chunk by some worker (live shards), watermark
   // gauges raised on the dispatching thread.
-  EXPECT_GE(snap.value(ValueMetric::kPoolRegionItems).count, 1u);
-  EXPECT_GE(snap.value(ValueMetric::kPoolRegionItems).max, kItems);
+  EXPECT_EQ(snap.value(ValueMetric::kPoolRegionItems).count, 1u);
+  EXPECT_EQ(snap.value(ValueMetric::kPoolRegionItems).sum, kItems);
   EXPECT_EQ(snap.value(ValueMetric::kPoolChunkItems).sum, kItems);
   EXPECT_GE(snap.gauge(GaugeMetric::kPoolQueueDepthHwm), kItems);
   EXPECT_GE(snap.gauge(GaugeMetric::kPoolWorkersHwm), 2u);
+}
+
+// pool_region_items counts the items a region DISPATCHED: a region that a
+// throwing item cancels still records all of them, on the serial path and
+// on the pool path alike.
+TEST_F(MetricsTest, PoolRegionItemsCountDispatchedItemsEvenWhenCancelled) {
+  constexpr std::size_t kItems = 64;
+  for (const std::size_t n_threads : {std::size_t{1}, std::size_t{2}}) {
+    reset_metrics();
+    EXPECT_THROW(sim::parallel_for(
+                     kItems,
+                     [](std::size_t i) {
+                       if (i == 3) throw std::runtime_error("cancel");
+                     },
+                     n_threads),
+                 std::runtime_error);
+    const MetricsSnapshot snap = snapshot_metrics();
+    const MetricHistogram& region = snap.value(ValueMetric::kPoolRegionItems);
+    EXPECT_EQ(region.count, 1u) << n_threads;
+    EXPECT_EQ(region.sum, kItems) << n_threads;
+  }
+}
+
+TEST_F(MetricsTest, ResetClearsLiveAndRetiredShards) {
+  record_value(ValueMetric::kMigrationsApplied, 3);
+  sim::parallel_for(
+      10, [](std::size_t) { record_value(ValueMetric::kMigrationsApplied, 1); },
+      2);
+  std::thread exited([] { record_value(ValueMetric::kMigrationsApplied, 5); });
+  exited.join();  // its shard retired into the accumulator
+  EXPECT_EQ(snapshot_metrics().value(ValueMetric::kMigrationsApplied).sum,
+            18u);
+
+  reset_metrics();
+  const MetricsSnapshot snap = snapshot_metrics();
+  for (std::size_t i = 0; i < kNumValueMetrics; ++i) {
+    EXPECT_EQ(snap.values[i].count, 0u) << i;
+  }
+  for (std::size_t i = 0; i < kNumDurationMetrics; ++i) {
+    EXPECT_EQ(snap.durations[i].count, 0u) << i;
+  }
+  for (const std::uint64_t g : snap.gauges) EXPECT_EQ(g, 0u);
+}
+
+// The count-style value metrics are the run's counters: each record is
+// one bump, and a histogram's sum is the counter's total.
+using CountersTest = MetricsTest;
+
+TEST_F(CountersTest, DisabledBumpsCountNothing) {
+  set_metrics_enabled(false);
+  EXPECT_FALSE(metrics_enabled());
+  record_value(ValueMetric::kMigrationsApplied, 100);
+  const MetricHistogram off =
+      snapshot_metrics().value(ValueMetric::kMigrationsApplied);
+  EXPECT_EQ(off.count, 0u);
+  EXPECT_EQ(off.sum, 0u);
+
+  set_metrics_enabled(true);
+  EXPECT_TRUE(metrics_enabled());
+  record_value(ValueMetric::kMigrationsApplied, 1);
+  const MetricHistogram on =
+      snapshot_metrics().value(ValueMetric::kMigrationsApplied);
+  EXPECT_EQ(on.count, 1u);
+  EXPECT_EQ(on.sum, 1u);
+}
+
+TEST_F(CountersTest, WorkerShardsMergeAtJoin) {
+  sim::parallel_for(
+      100,
+      [](std::size_t) { record_value(ValueMetric::kMinLoadNodeVisits, 2); },
+      4);
+  // parallel_for's pool workers persist after the region joins, but the
+  // region join point is quiescent: the snapshot reads their still-live
+  // shards, so it already includes every bump.
+  const MetricsSnapshot snap = snapshot_metrics();
+  EXPECT_EQ(snap.value(ValueMetric::kMinLoadNodeVisits).count, 100u);
+  EXPECT_EQ(snap.value(ValueMetric::kMinLoadNodeVisits).sum, 200u);
+  EXPECT_EQ(snap.value(ValueMetric::kPoolRegionItems).sum, 100u);
+}
+
+TEST_F(MetricsTest, MetricNamesAreUniqueAndStable) {
+  std::set<std::string> names;
+  const auto check = [&names](std::string_view view) {
+    const std::string name(view);
+    EXPECT_FALSE(name.empty());
+    EXPECT_NE(name, "unknown");
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  };
+  for (std::size_t i = 0; i < kNumDurationMetrics; ++i) {
+    check(duration_metric_name(static_cast<DurationMetric>(i)));
+  }
+  for (std::size_t i = 0; i < kNumValueMetrics; ++i) {
+    check(value_metric_name(static_cast<ValueMetric>(i)));
+  }
+  for (std::size_t i = 0; i < kNumGaugeMetrics; ++i) {
+    check(gauge_metric_name(static_cast<GaugeMetric>(i)));
+  }
+  // Trace span names and the v2 additions are pinned.
+  EXPECT_EQ(duration_metric_name(DurationMetric::kArrivalHandleNs),
+            "arrival_handle_ns");
+  EXPECT_EQ(duration_metric_name(DurationMetric::kPoolRegionNs),
+            "pool_region_ns");
+  EXPECT_EQ(duration_metric_name(DurationMetric::kPoolWorkerBusyNs),
+            "pool_worker_busy_ns");
+  EXPECT_EQ(value_metric_name(ValueMetric::kMinLoadNodeVisits),
+            "min_load_node_visits");
 }
 
 // The TSan target: writers hammer one histogram while the main thread
@@ -192,7 +359,7 @@ TEST_F(MetricsTest, GoldenJsonDocument) {
   record_value(ValueMetric::kMigrationBatchSize, 5);
   const util::json::Value doc = metrics_to_json(snapshot_metrics());
 
-  EXPECT_EQ(doc.at("schema").as_string(), "partree-metrics-v1");
+  EXPECT_EQ(doc.at("schema").as_string(), "partree-metrics-v2");
   const std::string expected =
       "{\n"
       "  \"buckets\": [\n"
@@ -376,6 +543,16 @@ TEST_F(MetricsTest, ValidateCatchesTampering) {
   wrong_schema.as_object().at("schema") = util::json::Value("bogus-v0");
   EXPECT_NE(validate_metrics_json(wrong_schema).find("unknown schema"),
             std::string::npos);
+
+  // A v1 document lacks min_load_node_visits; the bump rejects it.
+  util::json::Value v1 = doc;
+  v1.as_object().at("schema") = util::json::Value("partree-metrics-v1");
+  EXPECT_NE(validate_metrics_json(v1).find("unknown schema"),
+            std::string::npos);
+  util::json::Value missing = doc;
+  missing.as_object().at("values").as_object().erase("min_load_node_visits");
+  EXPECT_NE(validate_metrics_json(missing).find("min_load_node_visits"),
+            std::string::npos);
 }
 
 TEST_F(MetricsTest, EngineRecordsHandlingDurations) {
@@ -396,6 +573,8 @@ TEST_F(MetricsTest, EngineRecordsHandlingDurations) {
   // Greedy never reallocates, so no round was timed and no batch recorded.
   EXPECT_EQ(snap.duration(DurationMetric::kReallocRoundNs).count, 0u);
   EXPECT_EQ(snap.value(ValueMetric::kMigrationBatchSize).count, 0u);
+  // One min_load_node query per greedy arrival.
+  EXPECT_EQ(snap.value(ValueMetric::kMinLoadNodeVisits).count, 6u);
 }
 
 TEST_F(MetricsTest, CrashDumpEmbedsMetricsSnapshot) {

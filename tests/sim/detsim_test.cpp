@@ -236,11 +236,11 @@ TEST(DetSimDeathTest, CopySetCorruptionDiesWithNamedDump) {
 }
 
 TEST(DetSimDeathTest, CrashCarriesTheFlightRecorderDump) {
-  // The abort path must emit the partree-crash-v1 schema (the replayable
+  // The abort path must emit the partree-crash-v2 schema (the replayable
   // dump), not just an assertion message.
   const DetSimOptions options =
       corruption_options(FaultKind::kCorruptLoadTree);
-  EXPECT_DEATH((void)run_detsim(options), "partree-crash-v1");
+  EXPECT_DEATH((void)run_detsim(options), "partree-crash-v2");
 }
 
 TEST(DetSimDeathTest, CorruptionWithoutDebugChecksIsRefused) {

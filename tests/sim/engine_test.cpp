@@ -4,7 +4,7 @@
 
 #include "core/factory.hpp"
 #include "core/sequence.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "workload/synthetic.hpp"
 
 namespace partree::sim {
@@ -129,30 +129,43 @@ TEST(EngineTest, CountersAttributedToTheRun) {
   const tree::Topology topo(4);
   Engine engine(topo);
   auto alloc = core::make_allocator("greedy", topo);
+  obs::reset_metrics();
   const auto result = engine.run(core::figure1_sequence(), *alloc);
-  EXPECT_EQ(result.counters[obs::Counter::kEventsProcessed], result.events);
-  EXPECT_EQ(result.counters[obs::Counter::kArrivals], result.arrivals);
-  EXPECT_EQ(result.counters[obs::Counter::kDepartures], result.departures);
-  // Every arrival is placed exactly once; greedy never migrates.
-  EXPECT_EQ(result.counters[obs::Counter::kTasksPlaced], result.arrivals);
-  EXPECT_EQ(result.counters[obs::Counter::kMigrationsApplied], 0u);
-  EXPECT_EQ(result.counters[obs::Counter::kReallocRounds], 0u);
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  const auto seq = core::figure1_sequence();
+  EXPECT_EQ(result.events, seq.size());
+  EXPECT_EQ(result.arrivals + result.departures, result.events);
+  EXPECT_EQ(result.arrivals, seq.arrival_count());
+  // Greedy never reallocates, so no round reached the histograms.
+  EXPECT_EQ(result.reallocation_count, 0u);
+  EXPECT_EQ(result.migration_count, 0u);
+  EXPECT_EQ(snap.value(obs::ValueMetric::kMigrationsPlanned).count, 0u);
+  EXPECT_EQ(snap.value(obs::ValueMetric::kMigrationsApplied).count, 0u);
   // Greedy answers each arrival with one min_load_node query.
-  EXPECT_EQ(result.counters[obs::Counter::kMinLoadNodeCalls],
-            result.arrivals);
-  EXPECT_GE(result.counters[obs::Counter::kMinLoadNodeVisits],
-            result.arrivals);
+  const obs::MetricHistogram& visits =
+      snap.value(obs::ValueMetric::kMinLoadNodeVisits);
+  EXPECT_EQ(visits.count, result.arrivals);
+  EXPECT_GE(visits.sum, result.arrivals);
 }
 
 TEST(EngineTest, ReallocCountersMatchResultFields) {
   const tree::Topology topo(4);
   Engine engine(topo);
   auto alloc = core::make_allocator("dmix:d=1", topo);
+  obs::reset_metrics();
   const auto result = engine.run(core::figure1_sequence(), *alloc);
-  EXPECT_EQ(result.counters[obs::Counter::kReallocRounds],
-            result.reallocation_count);
-  EXPECT_EQ(result.counters[obs::Counter::kMigrationsApplied],
-            result.migration_count);
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  ASSERT_GT(result.reallocation_count, 0u);
+  // One planned/applied record per applied round; their sums are the
+  // run's planned and physical move totals.
+  const obs::MetricHistogram& planned =
+      snap.value(obs::ValueMetric::kMigrationsPlanned);
+  const obs::MetricHistogram& applied =
+      snap.value(obs::ValueMetric::kMigrationsApplied);
+  EXPECT_EQ(planned.count, result.reallocation_count);
+  EXPECT_EQ(planned.sum, result.migration_planned_count);
+  EXPECT_EQ(applied.count, result.reallocation_count);
+  EXPECT_EQ(applied.sum, result.migration_count);
 }
 
 TEST(EngineDeathTest, InvalidSequenceRejected) {

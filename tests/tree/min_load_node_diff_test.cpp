@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace partree::tree {
@@ -77,17 +77,23 @@ TEST(MinLoadNodeDiffTest, MatchesOracleOverRandomSchedules) {
   }
 }
 
+// The min_load_node_visits histogram: one record per query (count), the
+// nodes it visited as the value (sum).
+obs::MetricHistogram visits_so_far() {
+  return obs::snapshot_metrics().value(obs::ValueMetric::kMinLoadNodeVisits);
+}
+
 TEST(MinLoadNodeDiffTest, VisitCounterAdvancesPerQuery) {
   const Topology topo(64);
   LoadTree tree(topo);
-  const obs::Counters before = obs::thread_counters();
+  const obs::MetricHistogram before = visits_so_far();
   (void)tree.min_load_node(1);
   (void)tree.min_load_node(64);
-  const obs::Counters delta = obs::thread_counters().delta_since(before);
-  EXPECT_EQ(delta[obs::Counter::kMinLoadNodeCalls], 2u);
+  const obs::MetricHistogram after = visits_so_far();
+  EXPECT_EQ(after.count - before.count, 2u);
   // size-64 query answers at the root (1 visit); size-1 visits at least
   // one node per level on the way down.
-  EXPECT_GE(delta[obs::Counter::kMinLoadNodeVisits], 2u);
+  EXPECT_GE(after.sum - before.sum, 2u);
 }
 
 TEST(MinLoadNodeDiffTest, PrunedSearchVisitsFewNodesWhenBalanced) {
@@ -95,10 +101,11 @@ TEST(MinLoadNodeDiffTest, PrunedSearchVisitsFewNodesWhenBalanced) {
   // prune to the leftmost path rather than enumerate all N leaves.
   const Topology topo(256);
   LoadTree tree(topo);
-  const obs::Counters before = obs::thread_counters();
+  const obs::MetricHistogram before = visits_so_far();
   EXPECT_EQ(tree.min_load_node(1), topo.leaf_node(0));
-  const obs::Counters delta = obs::thread_counters().delta_since(before);
-  EXPECT_LE(delta[obs::Counter::kMinLoadNodeVisits], 2u * topo.height() + 2u);
+  const obs::MetricHistogram after = visits_so_far();
+  EXPECT_EQ(after.count - before.count, 1u);
+  EXPECT_LE(after.sum - before.sum, 2u * topo.height() + 2u);
 }
 
 }  // namespace
