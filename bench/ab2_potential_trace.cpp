@@ -11,6 +11,7 @@
 #include "adversary/det_adversary.hpp"
 #include "adversary/potential.hpp"
 #include "core/factory.hpp"
+#include "core/step.hpp"
 #include "sim/engine.hpp"
 
 int main(int argc, char** argv) {
@@ -50,14 +51,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t>& boundaries = adversary.phase_ends();
   std::size_t next_boundary = 0;
   for (std::size_t t = 0; t < events.size(); ++t) {
-    const core::Event& e = events[t];
-    if (e.kind == core::EventKind::kArrival) {
-      state.place(e.task, fresh->place(e.task, state));
-      if (auto migs = fresh->maybe_reallocate(state)) state.migrate(*migs);
-    } else {
-      fresh->on_departure(e.task.id, state);
-      state.remove(e.task.id);
-    }
+    core::apply_event(events[t], *fresh, state);
 
     const bool phase_ends = next_boundary < boundaries.size() &&
                             t + 1 == boundaries[next_boundary];

@@ -234,7 +234,6 @@ void serve_throughput_body(const HarnessConfig& config) {
   serve::ServiceOptions options;
   options.queue_capacity = 512;
   options.batch_size = 64;
-  options.record_sequence = false;  // timing, not verification
   serve::PartitionService service(
       topo, core::make_allocator("dmix:d=2", topo, config.seed), options);
 

@@ -8,6 +8,7 @@
 #include "bench_common.hpp"
 
 #include "core/factory.hpp"
+#include "core/step.hpp"
 #include "machines/fat_tree.hpp"
 #include "machines/hypercube.hpp"
 #include "machines/mesh.hpp"
@@ -68,13 +69,7 @@ int main(int argc, char** argv) {
     auto fresh = core::make_allocator(spec, topo);
     double peak_congestion = 0.0;
     for (const core::Event& e : seq.events()) {
-      if (e.kind == core::EventKind::kArrival) {
-        state.place(e.task, fresh->place(e.task, state));
-        if (auto migs = fresh->maybe_reallocate(state)) state.migrate(*migs);
-      } else {
-        fresh->on_departure(e.task.id, state);
-        state.remove(e.task.id);
-      }
+      core::apply_event(e, *fresh, state);
       // Congestion snapshot at the first moment the peak load is reached.
       if (peak_congestion == 0.0 && state.max_load() == result.max_load) {
         peak_congestion = fat_tree.max_congestion(state);

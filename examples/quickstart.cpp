@@ -10,6 +10,7 @@
 
 #include "core/factory.hpp"
 #include "core/sequence.hpp"
+#include "core/step.hpp"
 #include "sim/engine.hpp"
 #include "sim/report.hpp"
 #include "sim/viz.hpp"
@@ -53,17 +54,12 @@ int main() {
   std::printf("\nPer-PE thread counts at the greedy algorithm's peak:\n%s",
               results[0].peak_pe_histogram.render().c_str());
 
-  // Replay part of the sequence by hand to draw the machine mid-flight.
+  // Replay part of the sequence step by step to draw the machine
+  // mid-flight.
   core::MachineState state(topo);
   auto greedy = core::make_allocator("greedy", topo);
   for (std::size_t i = 0; i < 5 && i < sequence.size(); ++i) {
-    const core::Event& e = sequence[i];
-    if (e.kind == core::EventKind::kArrival) {
-      state.place(e.task, greedy->place(e.task, state));
-    } else {
-      greedy->on_departure(e.task.id, state);
-      state.remove(e.task.id);
-    }
+    core::apply_event(sequence[i], *greedy, state);
   }
   std::printf("\nMachine after the first 5 events (greedy placements):\n%s",
               sim::render_machine(state).c_str());

@@ -149,6 +149,7 @@ int main(int argc, char** argv) {
   serve::ServiceOptions options;
   options.queue_capacity = static_cast<std::size_t>(cli.get_u64("queue"));
   options.batch_size = static_cast<std::size_t>(cli.get_u64("batch"));
+  options.record_sequence = true;  // the serial replay below verifies it
 
   obs::reset_metrics();
   if (!metrics_path.empty()) obs::set_duration_metrics_enabled(true);

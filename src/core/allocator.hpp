@@ -1,13 +1,7 @@
 // The online allocation algorithm interface.
 //
-// Engine <-> allocator contract, in event order:
-//
-//   arrival t:   node = alloc.place(t, state)      // state BEFORE placing t
-//                state.place(t, node)
-//                if (migs = alloc.maybe_reallocate(state))  // state AFTER
-//                    state.migrate(*migs)
-//   departure t: alloc.on_departure(id, state)     // placement still live
-//                state.remove(id)
+// core/step.hpp's apply_event is the event contract: which hook runs
+// when, and against which state.
 //
 // Allocators are online: place() sees only the arriving task's size and the
 // current state -- never future events or task durations.

@@ -91,7 +91,7 @@ std::uint64_t repack_into(const MachineState& state, tree::CopySet& copies,
   }
   scratch.migrations.clear();
   scratch.migrations.reserve(movers);
-  const std::size_t cap = scratch.migrations.capacity();
+  [[maybe_unused]] const std::size_t cap = scratch.migrations.capacity();
   for (std::size_t i = 0; i < scratch.packed.size(); ++i) {
     const PackedTask& p = scratch.packed[i];
     if (p.placement.node == scratch.from_nodes[i]) continue;

@@ -56,7 +56,8 @@ enum class DurationMetric : std::size_t {
   kArrivalHandleNs = 0,
   /// Engine: one departure fully handled.
   kDepartureHandleNs,
-  /// Engine: one APPLIED reallocation round (decision + migration).
+  /// Engine/serve (core::apply_event): one APPLIED reallocation round
+  /// (decision + migration).
   kReallocRoundNs,
   /// Engine/serve: the allocator's planning half of one applied round
   /// (maybe_reallocate only, before any migration is applied). Recorded

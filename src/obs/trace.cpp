@@ -208,10 +208,6 @@ void set_flight_recorder_enabled(bool enabled) noexcept {
   g_recording.store(enabled, std::memory_order_relaxed);
 }
 
-bool flight_recorder_enabled() noexcept {
-  return g_recording.load(std::memory_order_relaxed);
-}
-
 void drain_trace() {
   Registry& reg = registry();
   std::lock_guard lock(reg.mutex);

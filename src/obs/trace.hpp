@@ -160,7 +160,6 @@ void drain_trace();
 /// bench_harness can price the default store against a truly bare run --
 /// leave it on everywhere else.
 void set_flight_recorder_enabled(bool enabled) noexcept;
-[[nodiscard]] bool flight_recorder_enabled() noexcept;
 
 /// Records an engine instant. Always stores into the calling thread's ring
 /// (the flight recorder); reads the clock only while tracing is enabled.

@@ -45,21 +45,17 @@ ArrivalTicket PartitionService::submit_arrival(std::uint64_t size) {
                            " is not a power of two in [1, " +
                            std::to_string(topo_.n_leaves()) + "]");
   }
-  Admitted admitted = admit(core::EventKind::kArrival, kInvalidRequestId,
-                            size);
-  return ArrivalTicket{admitted.id, std::move(admitted.applied)};
+  return admit(core::Event::arrival(core::kInvalidTask, size));
 }
 
 std::future<Placement> PartitionService::submit_departure(core::TaskId id) {
-  return admit(core::EventKind::kDeparture, id, 0).applied;
+  return admit(core::Event::departure(id)).placed;
 }
 
 // Shared admission path: backpressure, id assignment (arrivals are
 // numbered in admission order under the queue lock, which is what makes
 // the recorded sequence's ids deterministic), and the queue push.
-PartitionService::Admitted PartitionService::admit(core::EventKind kind,
-                                                   core::TaskId id,
-                                                   std::uint64_t size) {
+ArrivalTicket PartitionService::admit(core::Event event) {
   std::unique_lock lock(mutex_);
   const auto has_space = [this] {
     return queue_.size() < options_.queue_capacity || !accepting_;
@@ -87,12 +83,9 @@ PartitionService::Admitted PartitionService::admit(core::EventKind kind,
     }
   }
 
-  Request req;
-  req.kind = kind;
-  req.task = kind == core::EventKind::kArrival ? core::Task{next_id_++, size}
-                                               : core::Task{id, 0};
-  req.enqueue_ns = obs::duration_start();
-  Admitted admitted{req.task.id, req.promise.get_future()};
+  if (event.kind == core::EventKind::kArrival) event.task.id = next_id_++;
+  Request req{event, obs::duration_start(), {}};
+  ArrivalTicket admitted{event.task.id, req.promise.get_future()};
   queue_.push_back(std::move(req));
   ++stats_.admitted;
   obs::gauge_max(obs::GaugeMetric::kServeQueueDepthHwm, queue_.size());
@@ -148,6 +141,8 @@ std::size_t PartitionService::queue_depth() const {
 
 const core::TaskSequence& PartitionService::recorded() const {
   std::unique_lock lock(mutex_);
+  PARTREE_ASSERT(options_.record_sequence,
+                 "recorded() requires ServiceOptions::record_sequence");
   PARTREE_ASSERT(stopped_, "recorded() requires stop() first");
   return recorded_;
 }
@@ -205,100 +200,56 @@ void PartitionService::apply_loop() {
 
 void PartitionService::apply_batch(std::deque<Request>& batch,
                                    std::uint64_t batch_index) {
-  ServiceStats delta;
+  std::uint64_t failed = 0;
   for (Request& req : batch) {
     if (req.enqueue_ns != 0) {
       obs::record_duration(obs::DurationMetric::kServeQueueWaitNs,
                            obs::detail::monotonic_ns() - req.enqueue_ns);
     }
-    apply_one(req, batch_index, delta);
+    if (!apply_one(req, batch_index)) ++failed;
   }
   obs::emit_instant(obs::Instant::kServeBatch, batch.size());
   obs::record_value(obs::ValueMetric::kServeBatchRequests, batch.size());
 
   std::unique_lock lock(mutex_);
-  stats_.applied += delta.applied;
-  stats_.failed += delta.failed;
-  stats_.arrivals += delta.arrivals;
-  stats_.departures += delta.departures;
-  stats_.reallocation_count += delta.reallocation_count;
-  stats_.migration_count += delta.migration_count;
-  stats_.migration_planned_count += delta.migration_planned_count;
-  stats_.migrated_size += delta.migrated_size;
-  stats_.max_load = std::max(stats_.max_load, delta.max_load);
+  static_cast<core::EventTally&>(stats_) = tally_;
+  stats_.applied += batch.size() - failed;
+  stats_.failed += failed;
   ++stats_.batches;
   stats_.max_batch = std::max<std::uint64_t>(stats_.max_batch, batch.size());
   lock.unlock();
   cv_applied_.notify_all();
 }
 
-// One request through the allocator, mirroring the Engine's event
-// contract exactly (sim/engine.cpp): an arrival is place -> state.place
-// -> maybe_reallocate -> migrate, a departure is on_departure -> remove.
-// Any deviation here would break the serve == serial-replay digest
-// equivalence the differential test pins.
-void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
-                                 ServiceStats& delta) {
+// One request through core::apply_event. Only the unknown-task check is
+// the service's own: its departures are outside input, not a validated
+// sequence.
+bool PartitionService::apply_one(Request& req, std::uint64_t batch_index) {
   const obs::MetricTimer apply_timer(obs::DurationMetric::kServeApplyNs);
   Placement placement;
-  placement.id = req.task.id;
+  placement.id = req.event.task.id;
   placement.batch = batch_index;
 
-  if (req.kind == core::EventKind::kArrival) {
-    if (options_.record_sequence) {
-      recorded_.arrive_as(req.task.id, req.task.size);
-    }
-    const tree::NodeId node = allocator_->place(req.task, state_);
-    state_.place(req.task, node);
-    placement.size = req.task.size;
-    placement.node = node;
-    const std::uint64_t plan_t0 = obs::duration_start();
-    if (auto migrations = allocator_->maybe_reallocate(state_)) {
-      obs::record_since(obs::DurationMetric::kReallocPlanNs, plan_t0);
-      ++delta.reallocation_count;
-      obs::emit_instant(obs::Instant::kReallocRound, migrations->size());
-      const core::AppliedMigrations applied = state_.migrate(*migrations);
-      delta.migration_planned_count += migrations->size();
-      delta.migration_count += applied.moved;
-      delta.migrated_size += applied.moved_size;
-      obs::record_value(obs::ValueMetric::kMigrationsPlanned,
-                        migrations->size());
-      obs::record_value(obs::ValueMetric::kMigrationsApplied, applied.moved);
-      obs::record_value(obs::ValueMetric::kMigrationBatchSize, applied.moved);
-      // Same bracket as the engine: plan start through the last applied
-      // move, so plan and round histograms pair one-to-one whichever
-      // front end ran the round.
-      obs::record_since(obs::DurationMetric::kReallocRoundNs, plan_t0);
-      // The task may have been moved by the reallocation it triggered;
-      // report where it actually lives.
-      placement.node = state_.active_task(req.task.id).node;
-    }
-    ++delta.arrivals;
-    obs::emit_instant(obs::Instant::kArrival, req.task.id);
-  } else {
-    if (!state_.is_active(req.task.id)) {
-      // Fail THIS request only, in-band (Placement::ok = false, never
-      // set_exception -- see the ServiceErrorCode comment in the
-      // header); it is not recorded, so the recorded sequence stays
-      // replayable.
-      ++delta.failed;
-      placement.ok = false;
-      placement.error = ServiceErrorCode::kBadRequest;
-      req.promise.set_value(placement);
-      return;
-    }
-    if (options_.record_sequence) recorded_.depart(req.task.id);
-    placement.size = state_.active_task(req.task.id).task.size;
-    allocator_->on_departure(req.task.id, state_);
-    placement.node = state_.remove(req.task.id);
-    ++delta.departures;
-    obs::emit_instant(obs::Instant::kDeparture, req.task.id);
+  if (req.event.kind == core::EventKind::kDeparture &&
+      !state_.is_active(req.event.task.id)) {
+    // Fail THIS request only, in-band (Placement::ok = false, never
+    // set_exception -- see the ServiceErrorCode comment in the header);
+    // it is not recorded, so the recorded sequence stays replayable.
+    placement.ok = false;
+    placement.error = ServiceErrorCode::kBadRequest;
+    req.promise.set_value(placement);
+    return false;
   }
 
+  const core::StepResult step = core::apply_event(
+      req.event, *allocator_, state_,
+      options_.record_sequence ? &recorded_ : nullptr);
+  placement.size = step.size;
+  placement.node = step.node;
   placement.max_load = state_.max_load();
-  delta.max_load = std::max(delta.max_load, placement.max_load);
-  ++delta.applied;
+  tally_.add(step, placement.max_load);
   req.promise.set_value(placement);
+  return true;
 }
 
 }  // namespace partree::serve

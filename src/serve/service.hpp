@@ -5,34 +5,22 @@
 //
 // Many client threads call submit_arrival(size) / submit_departure(id);
 // requests are admitted -- in a single global admission order -- into a
-// bounded MPSC queue. One dedicated apply thread drains the queue in
-// admission order into EPOCH BATCHES (closed when the batch-size cap is
-// hit or the queue runs empty; flush()/drain() force the point), applies
-// each request through the owned core::Allocator against the owned
-// MachineState under the engine's event contract (place -> state.place ->
-// maybe_reallocate -> migrate; on_departure -> remove), and completes the
-// per-request std::future with the assigned placement and post-apply
-// load. The paper's dN reallocation trigger lives where it always lives
-// -- inside the allocator's maybe_reallocate -- so its epoch accounting
-// runs seamlessly ACROSS batches, and a serial Engine::run replay of the
-// recorded admission sequence reproduces the exact same state evolution
-// (equal final digests; the Serve differential test pins this under
-// TSan).
+// bounded MPSC queue (a full queue blocks or rejects, per
+// BackpressureMode). One apply thread drains it in admission order into
+// EPOCH BATCHES (closed at the batch-size cap or when the queue runs
+// empty; flush()/drain() force the point), applies each request through
+// core::apply_event (core/step.hpp) -- the step Engine::run calls too --
+// and completes the request's future with its placement and post-apply
+// load. The paper's dN trigger lives inside the allocator's
+// maybe_reallocate, so epoch accounting runs ACROSS batches, and a serial
+// Engine::run replay of the recorded sequence reaches the same final
+// digest (the Serve differential tests pin this under TSan). stop() is
+// graceful: every admitted request is answered, then the final digest is
+// published in the stats.
 //
-// A full queue exerts backpressure, configurable per service: kBlock
-// parks the submitter until space frees (optionally bounded by a
-// deadline, after which a typed ServiceError::kTimeout is thrown) while
-// kReject fails the submission immediately with ServiceError::kQueueFull.
-// stop() is graceful: every admitted request is still applied and its
-// future completed before the apply thread exits, and the final state
-// digest (PR-5's canonical MachineState digest) is published in the
-// stats for differential verification.
-//
-// Observability: per-request queue-wait and apply-latency histograms
-// (serve_queue_wait_ns / serve_apply_ns, duration-switch gated like all
-// MetricTimer scopes), a per-batch size histogram (serve_batch_requests),
-// a queue-depth high-watermark gauge, and one kServeBatch trace instant
-// per applied epoch batch.
+// Observability (docs/OBSERVABILITY.md): serve_queue_wait_ns and
+// serve_apply_ns per request, serve_batch_requests per batch, a
+// queue-depth high-watermark gauge and one kServeBatch instant per batch.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +37,7 @@
 #include "core/allocator.hpp"
 #include "core/machine_state.hpp"
 #include "core/sequence.hpp"
+#include "core/step.hpp"
 #include "tree/topology.hpp"
 
 namespace partree::serve {
@@ -105,8 +94,9 @@ struct ServiceOptions {
   /// milliseconds; 0 waits forever.
   std::uint64_t block_timeout_ms = 0;
   /// Record the admitted (applied) sequence for differential replay
-  /// through Engine::run. O(1 event) memory per applied request.
-  bool record_sequence = true;
+  /// through Engine::run. O(1 event) memory per applied request, kept
+  /// for the service's lifetime, so off by default.
+  bool record_sequence = false;
 };
 
 /// Completed-request payload carried by the future: where the task lives
@@ -144,24 +134,16 @@ struct ArrivalTicket {
   std::future<Placement> placed;
 };
 
-/// Point-in-time service accounting; final_digest/optimal_load are
-/// meaningful once stop() has returned.
-struct ServiceStats {
+/// Point-in-time service accounting on top of the event tally shared
+/// with sim::SimResult; final_digest/optimal_load are meaningful once
+/// stop() has returned.
+struct ServiceStats : core::EventTally {
   std::uint64_t admitted = 0;  ///< requests accepted into the queue
   std::uint64_t applied = 0;   ///< futures completed with a Placement
   std::uint64_t failed = 0;    ///< futures completed with a ServiceError
   std::uint64_t rejected = 0;  ///< submissions refused (full/timeout)
   std::uint64_t batches = 0;   ///< epoch batches applied
   std::uint64_t max_batch = 0;
-  std::uint64_t arrivals = 0;
-  std::uint64_t departures = 0;
-  std::uint64_t max_load = 0;  ///< running max of post-apply machine load
-  std::uint64_t reallocation_count = 0;
-  std::uint64_t migration_count = 0;
-  /// Migrations emitted by the planner (list lengths); see
-  /// SimResult::migration_planned_count for the planned/applied split.
-  std::uint64_t migration_planned_count = 0;
-  std::uint64_t migrated_size = 0;
   /// ceil(peak active size / N) at stop (the paper's L*).
   std::uint64_t optimal_load = 0;
   /// Canonical MachineState digest at stop; compare against the
@@ -171,7 +153,7 @@ struct ServiceStats {
 
 class PartitionService {
  public:
-  /// Takes ownership of the allocator (reset() is called, mirroring
+  /// Takes ownership of the allocator (reset() is called, as in
   /// Engine::run) and starts the apply thread immediately.
   PartitionService(tree::Topology topo, core::AllocatorPtr allocator,
                    ServiceOptions options = {});
@@ -215,9 +197,9 @@ class PartitionService {
   }
   [[nodiscard]] std::size_t queue_depth() const;
 
-  /// The admitted-and-applied sequence, in admission order (empty unless
-  /// ServiceOptions::record_sequence). Only call after stop(): the apply
-  /// thread owns the sequence while it runs.
+  /// The admitted-and-applied sequence, in admission order. Requires
+  /// ServiceOptions::record_sequence (asserts otherwise). Only call after
+  /// stop(): the apply thread owns the sequence while it runs.
   [[nodiscard]] const core::TaskSequence& recorded() const;
 
   /// TEST-ONLY: parks the apply thread after its current batch so tests
@@ -229,25 +211,18 @@ class PartitionService {
 
  private:
   struct Request {
-    core::EventKind kind = core::EventKind::kArrival;
-    core::Task task;
+    core::Event event;
     std::uint64_t enqueue_ns = 0;  ///< 0 unless duration metrics armed
     std::promise<Placement> promise;
   };
 
-  struct Admitted {
-    core::TaskId id = core::kInvalidTask;
-    std::future<Placement> applied;
-  };
-
-  static constexpr core::TaskId kInvalidRequestId = core::kInvalidTask;
-
-  [[nodiscard]] Admitted admit(core::EventKind kind, core::TaskId id,
-                               std::uint64_t size);
+  /// Shared admission path; an arrival's id is assigned here.
+  [[nodiscard]] ArrivalTicket admit(core::Event event);
   void apply_loop();
   void apply_batch(std::deque<Request>& batch, std::uint64_t batch_index);
-  void apply_one(Request& req, std::uint64_t batch_index,
-                 ServiceStats& delta);
+  /// Applies one request and completes its future; false when it failed
+  /// in-band (departure of an inactive task).
+  bool apply_one(Request& req, std::uint64_t batch_index);
 
   tree::Topology topo_;
   core::AllocatorPtr allocator_;
@@ -257,6 +232,7 @@ class PartitionService {
   // stop()).
   core::MachineState state_;
   core::TaskSequence recorded_;
+  core::EventTally tally_;  ///< published into stats_ after each batch
 
   mutable std::mutex mutex_;
   std::condition_variable cv_space_;    ///< submitters: queue has room

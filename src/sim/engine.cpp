@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "core/step.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
@@ -133,7 +134,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
   while (auto event = source.next(state)) {
     const std::uint64_t step = result.events;
     bool fail_alloc_once = false;
-    bool reallocated = false;
     if (injector != nullptr) {
       if (const Fault* fault = injector->on_step(step)) {
         bool applied = false;
@@ -177,80 +177,45 @@ SimResult Engine::run_interactive(core::EventSource& source,
       }
     }
 
+    core::StepResult outcome;
     if (event->kind == core::EventKind::kArrival) {
       const obs::MetricTimer arrival_metric(
           obs::DurationMetric::kArrivalHandleNs);
-      const core::Task& task = event->task;
-      if (recorded != nullptr) recorded->arrive_as(task.id, task.size);
-      const tree::NodeId node = allocator.place(task, state);
-      state.place(task, node);
+      outcome = core::apply_event(*event, allocator, state, recorded,
+                                  options_.on_reallocation);
       if (fail_alloc_once) {
         // Injected transient allocation failure: the decision was made
-        // but its application "failed"; roll the state back and retry
-        // the same decision. Recovery must be digest-exact -- the
-        // roll-back exercises the assign/release paths under fire.
-        state.remove(task.id);
-        state.place(task, node);
-      }
-      // The round is only a round once maybe_reallocate says yes, so the
-      // duration metrics bracket decision + application manually and
-      // record nothing for the (overwhelmingly common) no-op decisions --
-      // kReallocRoundNs counts applied rounds only.
-      const std::uint64_t realloc_t0 = obs::duration_start();
-      if (auto migrations = allocator.maybe_reallocate(state)) {
-        // Planning half of the round: everything up to here is the
-        // allocator deciding where tasks go; what follows applies it.
-        obs::record_since(obs::DurationMetric::kReallocPlanNs, realloc_t0);
-        ++result.reallocation_count;
-        reallocated = true;
-        obs::emit_instant(obs::Instant::kReallocRound, migrations->size());
-        if (options_.on_reallocation) options_.on_reallocation(*migrations);
-        const core::AppliedMigrations applied = state.migrate(*migrations);
-        result.migration_planned_count += migrations->size();
-        result.migration_count += applied.moved;
-        result.migrated_size += applied.moved_size;
-        obs::record_value(obs::ValueMetric::kMigrationsPlanned,
-                          migrations->size());
-        obs::record_value(obs::ValueMetric::kMigrationsApplied,
-                          applied.moved);
-        obs::record_value(obs::ValueMetric::kMigrationBatchSize,
-                          applied.moved);
-        obs::record_since(obs::DurationMetric::kReallocRoundNs, realloc_t0);
+        // but its application "failed"; roll the state back and retry it
+        // where the step left the task. Recovery must be digest-exact --
+        // the roll-back exercises the assign/release paths under fire.
+        state.remove(event->task.id);
+        state.place(event->task, outcome.node);
       }
       if (slowdowns) {
-        if (reallocated) {
+        if (outcome.reallocated) {
           slowdowns->on_reallocation(state);
         } else {
-          slowdowns->on_arrival(task.id, state.active_task(task.id).node,
-                                state);
+          slowdowns->on_arrival(event->task.id, outcome.node, state);
         }
       }
-      ++result.arrivals;
-      obs::emit_instant(obs::Instant::kArrival, task.id);
     } else {
       const obs::MetricTimer departure_metric(
           obs::DurationMetric::kDepartureHandleNs);
-      if (recorded != nullptr) recorded->depart(event->task.id);
       if (slowdowns) slowdowns->on_departure(event->task.id, state);
-      allocator.on_departure(event->task.id, state);
-      state.remove(event->task.id);
-      ++result.departures;
-      obs::emit_instant(obs::Instant::kDeparture, event->task.id);
+      outcome = core::apply_event(*event, allocator, state, recorded);
     }
     ++result.events;
 
     const std::uint64_t load = state.max_load();
-    if (load > result.max_load) {
-      result.max_load = load;
-      if (options_.record_peak_histogram) {
-        result.peak_pe_histogram.clear();
-        for (const std::uint64_t pe_load : state.pe_loads()) {
-          result.peak_pe_histogram.add(pe_load);
-        }
+    if (load > result.max_load && options_.record_peak_histogram) {
+      result.peak_pe_histogram.clear();
+      for (const std::uint64_t pe_load : state.pe_loads()) {
+        result.peak_pe_histogram.add(pe_load);
       }
     }
+    result.add(outcome, load);
     if (options_.record_series) result.load_series.push_back(load);
-    if (options_.record_digests && reallocated) {
+    if (options_.record_digests && outcome.reallocated) {
       const std::uint64_t digest = state.digest();
       result.epoch_digests.push_back({result.events, digest});
       obs::emit_instant(obs::Instant::kStateDigest, digest);

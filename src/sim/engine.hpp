@@ -3,12 +3,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
 
 #include "core/allocator.hpp"
 #include "core/event_source.hpp"
 #include "core/sequence.hpp"
+#include "core/step.hpp"
 #include "sim/result.hpp"
 
 namespace partree::obs {
@@ -59,7 +58,7 @@ struct EngineOptions {
   /// Invoked with each reallocation's migration list BEFORE it is applied
   /// (placements in `from` are still live); used e.g. to price migrations
   /// on a concrete interconnect.
-  std::function<void(std::span<const core::Migration>)> on_reallocation;
+  core::ReallocationHook on_reallocation;
 };
 
 class Engine {

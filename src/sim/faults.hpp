@@ -13,9 +13,10 @@
 // Semantics (applied by sim::Engine via EngineOptions::faults, except
 // perturb:pool which the detsim replay layer applies to the worker pool):
 //
-//   alloc_fail          the arrival's first placement application fails
-//                       transiently: the engine applies, rolls back, and
-//                       re-applies the same decision. A correct engine
+//   alloc_fail          the arrival's placement application fails
+//                       transiently: after the event step the engine
+//                       rolls the task back and re-places it at the node
+//                       the step reports. A correct engine
 //                       recovers digest-identically; a buggy rollback
 //                       diverges and the digest oracle flags it.
 //   cancel              FaultInjectedError is thrown at the step, riding

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/step.hpp"
 #include "util/histogram.hpp"
 
 namespace partree::sim {
@@ -20,30 +21,15 @@ struct EpochDigest {
   friend bool operator==(const EpochDigest&, const EpochDigest&) = default;
 };
 
-/// Outcome of replaying one sequence through one allocator.
-struct SimResult {
+/// Outcome of replaying one sequence through one allocator, on top of
+/// the event tally shared with serve::ServiceStats.
+struct SimResult : core::EventTally {
   std::string allocator;
   std::uint64_t n_pes = 0;
   std::uint64_t events = 0;
-  std::uint64_t arrivals = 0;
-  std::uint64_t departures = 0;
 
-  /// L_A(sigma): maximum over events of the post-event machine max load.
-  std::uint64_t max_load = 0;
   /// L*(sigma) = ceil(peak active size / N).
   std::uint64_t optimal_load = 0;
-
-  /// Reallocation accounting ("the trade").
-  std::uint64_t reallocation_count = 0;
-  /// Physical task moves (migrations with from != to).
-  std::uint64_t migration_count = 0;
-  /// Migrations EMITTED by planners across all rounds (the length of the
-  /// returned lists). Under the delta planner this equals migration_count
-  /// unless a planner chooses to emit self-moves; the pre-delta planner
-  /// emitted one per active task, so the gap measures planner overhead.
-  std::uint64_t migration_planned_count = 0;
-  /// Sum of sizes of physically moved tasks (PE-sized checkpoint volume).
-  std::uint64_t migrated_size = 0;
 
   /// Post-event max-load series; filled only when requested.
   std::vector<std::uint64_t> load_series;

@@ -34,12 +34,6 @@ class LoadTree {
   /// Removes one task rooted at node v (one must be present). O(log N).
   void release(NodeId v);
 
-  /// Number of tasks rooted exactly at v.
-  [[nodiscard]] std::uint64_t tasks_rooted_at(NodeId v) const {
-    PARTREE_DEBUG_ASSERT(topo_.valid(v), "invalid node");
-    return add_[v];
-  }
-
   /// Maximum PE load over the whole machine. O(1).
   [[nodiscard]] std::uint64_t max_load() const noexcept { return down_[1]; }
 

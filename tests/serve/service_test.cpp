@@ -36,9 +36,16 @@ sim::SimResult replay(const tree::Topology& topo, const std::string& spec,
   return engine.run(seq, *alloc);
 }
 
+/// Options for the tests that replay: recording is off by default.
+ServiceOptions recording() {
+  ServiceOptions options;
+  options.record_sequence = true;
+  return options;
+}
+
 TEST(ServeBasicTest, SingleThreadMatchesSerialReplay) {
   const tree::Topology topo(8);
-  PartitionService service(topo, make("greedy", topo));
+  PartitionService service(topo, make("greedy", topo), recording());
 
   auto t0 = service.submit_arrival(2);
   auto t1 = service.submit_arrival(4);
@@ -85,7 +92,7 @@ TEST(ServeBasicTest, ArrivalIdsFollowAdmissionOrder) {
 
 TEST(ServeBasicTest, InvalidArrivalSizeThrowsWithoutAdmission) {
   const tree::Topology topo(4);
-  PartitionService service(topo, make("greedy", topo));
+  PartitionService service(topo, make("greedy", topo), recording());
   for (const std::uint64_t bad : {0ull, 3ull, 8ull, 100ull}) {
     try {
       (void)service.submit_arrival(bad);
@@ -106,7 +113,7 @@ TEST(ServeBasicTest, UnknownDepartureFailsOnlyThatFuture) {
        {core::TaskId{12345}, core::kInvalidTask}) {
     SCOPED_TRACE(bogus_id);
     const tree::Topology topo(4);
-    PartitionService service(topo, make("greedy", topo));
+    PartitionService service(topo, make("greedy", topo), recording());
     auto a = service.submit_arrival(1);
     auto bogus = service.submit_departure(bogus_id);
     auto b = service.submit_arrival(2);
@@ -133,6 +140,16 @@ TEST(ServeBasicTest, UnknownDepartureFailsOnlyThatFuture) {
     EXPECT_EQ(service.stats().final_digest,
               replay(topo, "greedy", service.recorded()).final_digest);
   }
+}
+
+TEST(ServeDeathTest, RecordedWithoutRecordingAsserts) {
+  // A caller who forgets to turn recording on must get an error, not an
+  // empty sequence that silently "replays" to the empty machine.
+  const tree::Topology topo(4);
+  PartitionService service(topo, make("greedy", topo));
+  (void)service.submit_arrival(1).placed.get();
+  service.stop();
+  EXPECT_DEATH((void)service.recorded(), "record_sequence");
 }
 
 TEST(ServeBasicTest, DoubleDepartureSecondFails) {
@@ -382,7 +399,7 @@ void run_client(PartitionService& service, std::uint64_t seed,
 /// TSan in CI (threadsanitize job).
 void run_differential(const std::string& spec) {
   const tree::Topology topo(32);
-  ServiceOptions options;
+  ServiceOptions options = recording();
   options.queue_capacity = 64;
   options.batch_size = 16;
   PartitionService service(topo, make(spec, topo), options);
@@ -412,6 +429,9 @@ void run_differential(const std::string& spec) {
   EXPECT_EQ(stats.departures, serial.departures) << spec;
   EXPECT_EQ(stats.reallocation_count, serial.reallocation_count) << spec;
   EXPECT_EQ(stats.migration_count, serial.migration_count) << spec;
+  EXPECT_EQ(stats.migration_planned_count, serial.migration_planned_count)
+      << spec;
+  EXPECT_EQ(stats.migrated_size, serial.migrated_size) << spec;
 }
 
 TEST(ServeDifferentialTest, GreedyMatchesSerialReplay) {

@@ -7,9 +7,13 @@
 // that moves nothing records an explicit zero.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "core/drealloc.hpp"
+#include "core/factory.hpp"
 #include "core/sequence.hpp"
 #include "obs/metrics.hpp"
+#include "serve/service.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "workload/synthetic.hpp"
@@ -113,6 +117,57 @@ TEST(ReallocAccountingTest, ReallocPlanNsRecordedPerAppliedRound) {
   // The plan is a prefix of the round bracket, so its time can't exceed
   // the whole round's.
   EXPECT_LE(plan.sum, round.sum);
+}
+
+TEST(ReallocAccountingTest, EngineAndServiceRecordTheSameRounds) {
+  // Both front ends apply events through the one core::apply_event, so
+  // the same sequence must leave the same per-round records whichever of
+  // them ran it -- and the service must record no engine handle timers.
+  const tree::Topology topo(64);
+  util::Rng rng(59);
+  workload::ClosedLoopParams params;
+  params.n_events = 1500;
+  params.utilization = 0.9;
+  params.size = workload::SizeSpec::uniform_log(0, 5);
+  const core::TaskSequence seq = workload::closed_loop(topo, params, rng);
+
+  obs::reset_metrics();
+  obs::set_duration_metrics_enabled(true);
+  Engine engine(topo);
+  auto engine_alloc = core::make_allocator("dmix:d=1", topo);
+  const SimResult result = engine.run(seq, *engine_alloc);
+  const obs::MetricsSnapshot engine_snap = obs::snapshot_metrics();
+  EXPECT_GT(result.reallocation_count, 0u);
+  EXPECT_EQ(engine_snap.duration(obs::DurationMetric::kArrivalHandleNs).count,
+            result.arrivals);
+
+  obs::reset_metrics();
+  serve::PartitionService service(topo, core::make_allocator("dmix:d=1", topo));
+  std::unordered_map<core::TaskId, core::TaskId> served_id;
+  for (const core::Event& event : seq.events()) {
+    if (event.kind == core::EventKind::kArrival) {
+      served_id[event.task.id] = service.submit_arrival(event.task.size).id;
+    } else {
+      (void)service.submit_departure(served_id.at(event.task.id));
+    }
+  }
+  service.stop();
+  const obs::MetricsSnapshot serve_snap = obs::snapshot_metrics();
+  obs::set_duration_metrics_enabled(false);
+  EXPECT_EQ(service.stats().reallocation_count, result.reallocation_count);
+
+  for (const obs::ValueMetric m : {obs::ValueMetric::kMigrationsPlanned,
+                                   obs::ValueMetric::kMigrationsApplied,
+                                   obs::ValueMetric::kMigrationBatchSize}) {
+    EXPECT_EQ(serve_snap.value(m).count, engine_snap.value(m).count);
+    EXPECT_EQ(serve_snap.value(m).sum, engine_snap.value(m).sum);
+  }
+  for (const obs::DurationMetric m : {obs::DurationMetric::kReallocPlanNs,
+                                      obs::DurationMetric::kReallocRoundNs}) {
+    EXPECT_EQ(serve_snap.duration(m).count, engine_snap.duration(m).count);
+  }
+  EXPECT_EQ(serve_snap.duration(obs::DurationMetric::kArrivalHandleNs).count,
+            0u);
 }
 
 }  // namespace

@@ -97,7 +97,9 @@ TEST(ClosedLoopTest, NeverDipsBelowTargetOnceReached) {
   for (std::size_t tau = 1; tau <= 3000; ++tau) {
     const std::uint64_t active = seq.active_size_after(tau);
     if (active >= 32) reached = true;
-    if (reached) EXPECT_GE(active, 32u) << "dipped at event " << tau;
+    if (reached) {
+      EXPECT_GE(active, 32u) << "dipped at event " << tau;
+    }
   }
   EXPECT_TRUE(reached);
 }
