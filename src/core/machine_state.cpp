@@ -25,13 +25,13 @@ void MachineState::place(const Task& task, tree::NodeId node) {
   peak_active_size_ = std::max(peak_active_size_, loads_.total_active_size());
 }
 
-tree::NodeId MachineState::remove(TaskId id) {
+ActiveTask MachineState::remove(TaskId id) {
   const ActiveTask* at = active_.find(id);
   PARTREE_ASSERT(at != nullptr, "removing task that is not active");
-  const tree::NodeId node = at->node;
-  loads_.release(node);
+  const ActiveTask removed = *at;
+  loads_.release(removed.node);
   active_.erase(id);
-  return node;
+  return removed;
 }
 
 AppliedMigrations MachineState::migrate(

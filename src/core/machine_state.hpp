@@ -55,8 +55,9 @@ class MachineState {
   /// Validates: fresh id, size matches the node's subtree, node in range.
   void place(const Task& task, tree::NodeId node);
 
-  /// Removes an active task; returns where it was placed.
-  tree::NodeId remove(TaskId id);
+  /// Removes an active task; returns it (its size and where it was
+  /// placed), so a departure needs no second lookup.
+  ActiveTask remove(TaskId id);
 
   /// Applies a reallocation: every migration must name an active task and
   /// a correctly-sized destination. Self-moves (from == to) are permitted

@@ -15,9 +15,10 @@ StepResult apply_event(const Event& event, Allocator& allocator,
   step.kind = event.kind;
   if (event.kind == EventKind::kDeparture) {
     if (recorded != nullptr) recorded->depart(task.id);
-    step.size = state.active_task(task.id).task.size;
     allocator.on_departure(task.id, state);
-    step.node = state.remove(task.id);
+    const ActiveTask removed = state.remove(task.id);
+    step.size = removed.task.size;
+    step.node = removed.node;
     obs::emit_instant(obs::Instant::kDeparture, task.id);
     return step;
   }

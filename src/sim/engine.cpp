@@ -188,8 +188,8 @@ SimResult Engine::run_interactive(core::EventSource& source,
         // but its application "failed"; roll the state back and retry it
         // where the step left the task. Recovery must be digest-exact --
         // the roll-back exercises the assign/release paths under fire.
-        state.remove(event->task.id);
-        state.place(event->task, outcome.node);
+        const core::ActiveTask removed = state.remove(event->task.id);
+        state.place(removed.task, removed.node);
       }
       if (slowdowns) {
         if (outcome.reallocated) {

@@ -29,4 +29,29 @@ namespace partree::workload {
 [[nodiscard]] core::TaskSequence churn(tree::Topology topo,
                                        std::uint64_t rounds);
 
+// Arity-A machines. An A-ary decomposable machine with A = 2^j and
+// N = A^h PEs (A = 4: a 2-D mesh in quadrants, A = 8: a 3-D mesh in
+// octants) is the binary tree machine with N leaves on which only sizes
+// A^i are requested: its submachines are the aligned binary blocks of
+// those sizes. Both generators assert that `arity` is a power of two
+// >= 2 and that N is a power of `arity`.
+
+/// Closed-loop churn over the powers of `arity` up to N: while the
+/// active size is below utilization * N (or nothing is active) a task of
+/// uniformly drawn size arity^i (i in [0, log_A N]) arrives, otherwise a
+/// uniformly chosen active task departs; the tasks still active depart
+/// at the end, so the sequence closes.
+[[nodiscard]] core::TaskSequence arity_closed_loop(tree::Topology topo,
+                                                   std::uint64_t arity,
+                                                   std::uint64_t n_events,
+                                                   double utilization,
+                                                   std::uint64_t seed);
+
+/// The staircase nemesis for an arity-A machine: phase i (i < log_A N)
+/// fills the residual capacity with size-A^i tasks, then departs all but
+/// the tasks of rank k % A == 0, leaving holes misaligned for size
+/// A^(i+1). Optimal load stays 1.
+[[nodiscard]] core::TaskSequence arity_staircase(tree::Topology topo,
+                                                 std::uint64_t arity);
+
 }  // namespace partree::workload

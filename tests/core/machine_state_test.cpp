@@ -12,9 +12,22 @@ TEST(MachineStateTest, PlaceAndRemove) {
   EXPECT_EQ(m.active_count(), 1u);
   EXPECT_EQ(m.max_load(), 1u);
   EXPECT_EQ(m.active_size(), 4u);
-  EXPECT_EQ(m.remove(0), 2u);
+  const ActiveTask removed = m.remove(0);
+  EXPECT_EQ(removed.task.id, 0u);
+  EXPECT_EQ(removed.task.size, 4u);
+  EXPECT_EQ(removed.node, 2u);
   EXPECT_FALSE(m.is_active(0));
   EXPECT_EQ(m.max_load(), 0u);
+}
+
+TEST(MachineStateTest, RemoveReturnsTheTaskWhereItLivesNow) {
+  MachineState m{tree::Topology(8)};
+  m.place({7, 2}, 4);
+  m.migrate({{7, 4, 6}});
+  const ActiveTask removed = m.remove(7);
+  EXPECT_EQ(removed.task.size, 2u);
+  EXPECT_EQ(removed.node, 6u);
+  EXPECT_EQ(m.active_size(), 0u);
 }
 
 TEST(MachineStateTest, PeakPersistsAfterDepartures) {

@@ -4,6 +4,7 @@
 
 #include "core/factory.hpp"
 #include "sim/engine.hpp"
+#include "util/math.hpp"
 
 namespace partree::workload {
 namespace {
@@ -70,6 +71,61 @@ TEST(ChurnTest, ValidAndDrains) {
   EXPECT_EQ(seq.active_size_after(seq.size()), 0u);
   // One task of each size 1..N/2 per round: peak under N.
   EXPECT_LT(seq.peak_active_size(), 32u);
+}
+
+// True iff every arrival of `seq` has size arity^i for some i.
+bool only_powers_of(const core::TaskSequence& seq, std::uint64_t arity) {
+  const std::uint32_t bits = util::exact_log2(arity);
+  for (const core::Event& e : seq.events()) {
+    if (e.kind != core::EventKind::kArrival) continue;
+    if (!util::is_pow2(e.task.size) ||
+        util::exact_log2(e.task.size) % bits != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ArityClosedLoopTest, ValidPowersOfArityAndCloses) {
+  for (const std::uint64_t arity : {2ull, 4ull, 8ull}) {
+    const tree::Topology topo(64);
+    const core::TaskSequence seq = arity_closed_loop(topo, arity, 800, 0.8, 5);
+    EXPECT_EQ(seq.validate(64), "") << "arity " << arity;
+    EXPECT_TRUE(only_powers_of(seq, arity)) << "arity " << arity;
+    EXPECT_EQ(seq.active_size_after(seq.size()), 0u) << "arity " << arity;
+    EXPECT_GT(seq.arrival_count(), 0u) << "arity " << arity;
+  }
+}
+
+TEST(ArityStaircaseTest, ValidPowersOfArityAndSubUnit) {
+  for (const std::uint64_t arity : {2ull, 4ull, 8ull}) {
+    const tree::Topology topo(64);
+    const core::TaskSequence seq = arity_staircase(topo, arity);
+    EXPECT_EQ(seq.validate(64), "") << "arity " << arity;
+    EXPECT_TRUE(only_powers_of(seq, arity)) << "arity " << arity;
+    EXPECT_LE(seq.peak_active_size(), 64u) << "arity " << arity;
+    EXPECT_EQ(seq.optimal_load(64), 1u) << "arity " << arity;
+  }
+}
+
+TEST(ArityStaircaseTest, KeepsOneTaskPerGroupOfArity) {
+  // N = 16, A = 4: phase 0 arrives 16 unit tasks and keeps ranks 0, 4,
+  // 8, 12; phase 1 fills the remaining 12 PEs with three size-4 tasks
+  // and keeps the first.
+  const tree::Topology topo(16);
+  const core::TaskSequence seq = arity_staircase(topo, 4);
+  EXPECT_EQ(seq.arrival_count(), 19u);
+  EXPECT_EQ(seq.active_size_after(seq.size()), 8u);
+  EXPECT_TRUE(arity_staircase(tree::Topology(1), 4).empty());
+}
+
+TEST(ArityGeneratorDeathTest, RejectsBadArityOrMachineSize) {
+  EXPECT_DEATH((void)arity_staircase(tree::Topology(64), 3),
+               "arity must be a power of two");
+  EXPECT_DEATH((void)arity_staircase(tree::Topology(16), 1),
+               "arity must be a power of two");
+  EXPECT_DEATH((void)arity_closed_loop(tree::Topology(32), 4, 10, 0.5, 1),
+               "power of the arity");
 }
 
 }  // namespace
